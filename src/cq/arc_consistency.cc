@@ -6,146 +6,91 @@
 
 #include "datalog/horn.h"
 #include "obs/obs.h"
+#include "tree/axes.h"
 
 namespace treeq {
 namespace cq {
-namespace {
 
-/// Materialized adjacency of one axis over the tree (both directions).
-struct Adjacency {
-  std::vector<std::vector<NodeId>> fwd;  // fwd[u] = {v : axis(u, v)}
-  std::vector<std::vector<NodeId>> rev;  // rev[v] = {u : axis(u, v)}
-};
-
-Adjacency Materialize(const Tree& tree, const TreeOrders& orders, Axis axis) {
+PreValuation LabelRestrictedCandidates(const ConjunctiveQuery& query,
+                                       const Tree& tree,
+                                       const LabelIndex* index) {
   const int n = tree.num_nodes();
-  Adjacency adj;
-  adj.fwd.resize(n);
-  adj.rev.resize(n);
-  for (NodeId u = 0; u < n; ++u) {
+  PreValuation cand(query.num_vars(), NodeSet::All(n));
+  for (const LabelAtom& a : query.label_atoms()) {
+    if (index != nullptr) {
+      const LabelId id = tree.label_table().Lookup(a.label);
+      if (id == kNullLabel) {
+        cand[a.var] = NodeSet(n);  // no node carries an unknown label
+      } else {
+        cand[a.var].IntersectWith(index->Set(id));
+      }
+      continue;
+    }
     for (NodeId v = 0; v < n; ++v) {
-      if (AxisHolds(tree, orders, axis, u, v)) {
-        adj.fwd[u].push_back(v);
-        adj.rev[v].push_back(u);
+      if (cand[a.var].Contains(v) && !tree.HasLabel(v, a.label)) {
+        cand[a.var].Erase(v);
       }
     }
   }
-  return adj;
+  return cand;
 }
 
-/// Initial candidate sets: intersection of the unary (label) atoms and the
-/// caller-provided restriction, if any.
-PreValuation InitialTheta(const ConjunctiveQuery& query, const Tree& tree,
-                          const PreValuation* initial) {
-  const int n = tree.num_nodes();
-  PreValuation theta(query.num_vars(), NodeSet::All(n));
+namespace {
+
+/// Worklist fixpoint over the axis atoms: revising R(x, y) narrows
+/// Theta(x) to the R-preimage of Theta(y), then Theta(y) to the R-image of
+/// the narrowed Theta(x). After one revision the atom supports both sides,
+/// so only the other atoms of a shrunken variable are re-queued (a
+/// self-loop R(x, x) re-queues itself).
+AcResult DirectAc(const ConjunctiveQuery& query, const Tree& tree,
+                  const TreeOrders& orders, const PreValuation* initial,
+                  const LabelIndex* index) {
+  TREEQ_OBS_SPAN("cq.ac.direct");
+  PreValuation theta = LabelRestrictedCandidates(query, tree, index);
   if (initial != nullptr) {
     TREEQ_CHECK(static_cast<int>(initial->size()) == query.num_vars());
     for (int x = 0; x < query.num_vars(); ++x) {
       theta[x].IntersectWith((*initial)[x]);
     }
   }
-  for (const LabelAtom& a : query.label_atoms()) {
-    NodeSet& set = theta[a.var];
-    for (NodeId v = 0; v < n; ++v) {
-      if (set.Contains(v) && !tree.HasLabel(v, a.label)) set.Erase(v);
-    }
+
+  const std::vector<AxisAtom>& atoms = query.axis_atoms();
+  const int num_atoms = static_cast<int>(atoms.size());
+  std::vector<std::vector<int>> atoms_of(query.num_vars());
+  for (int i = 0; i < num_atoms; ++i) {
+    atoms_of[atoms[i].var0].push_back(i);
+    if (atoms[i].var1 != atoms[i].var0) atoms_of[atoms[i].var1].push_back(i);
   }
-  return theta;
-}
+  std::deque<int> worklist;
+  std::vector<char> queued(num_atoms, 1);
+  for (int i = 0; i < num_atoms; ++i) worklist.push_back(i);
 
-std::map<Axis, Adjacency> MaterializeUsedAxes(const ConjunctiveQuery& query,
-                                              const Tree& tree,
-                                              const TreeOrders& orders) {
-  std::map<Axis, Adjacency> adjacency;
-  for (Axis axis : query.AxesUsed()) {
-    adjacency.emplace(axis, Materialize(tree, orders, axis));
-  }
-  return adjacency;
-}
-
-AcResult DirectAc(const ConjunctiveQuery& query, const Tree& tree,
-                  const TreeOrders& orders, const PreValuation* initial) {
-  TREEQ_OBS_SPAN("cq.ac.direct");
-  const int n = tree.num_nodes();
-  PreValuation theta = InitialTheta(query, tree, initial);
-  std::map<Axis, Adjacency> adjacency = MaterializeUsedAxes(query, tree, orders);
-
-  // AC-4 support counters: per directed constraint (atom, side) and value,
-  // the number of supporting partners still alive.
-  const int num_atoms = static_cast<int>(query.axis_atoms().size());
-  // counters[2 * atom + 0][v]: supports of v in Theta(var0) among Theta(var1)
-  // counters[2 * atom + 1][w]: supports of w in Theta(var1) among Theta(var0)
-  std::vector<std::vector<int>> counters(2 * num_atoms,
-                                         std::vector<int>(n, 0));
-
-  std::deque<std::pair<int, NodeId>> removed;  // (variable, value)
-  auto erase_value = [&](int var, NodeId v) {
-    if (theta[var].Contains(v)) {
-      TREEQ_OBS_INC("cq.ac.domain_shrinks");
-      theta[var].Erase(v);
-      removed.emplace_back(var, v);
+  NodeSet image(tree.num_nodes());
+  // Theta(var) &= image, re-queueing var's atoms if the set shrank.
+  auto narrow = [&](int var, int atom) {
+    const int before = theta[var].size();
+    theta[var].IntersectWith(image);
+    if (theta[var].size() == before) return;
+    TREEQ_OBS_COUNT("cq.ac.domain_shrinks", before - theta[var].size());
+    for (int j : atoms_of[var]) {
+      const bool self_loop = atoms[j].var0 == atoms[j].var1;
+      if ((j != atom || self_loop) && !queued[j]) {
+        queued[j] = 1;
+        worklist.push_back(j);
+      }
     }
   };
-
-  // Initialize counters; values with zero support are removed.
-  for (int i = 0; i < num_atoms; ++i) {
-    const AxisAtom& atom = query.axis_atoms()[i];
-    const Adjacency& adj = adjacency.at(atom.axis);
-    for (NodeId v = 0; v < n; ++v) {
-      if (theta[atom.var0].Contains(v)) {
-        int count = 0;
-        for (NodeId w : adj.fwd[v]) {
-          if (theta[atom.var1].Contains(w)) ++count;
-        }
-        counters[2 * i][v] = count;
-      }
-      if (theta[atom.var1].Contains(v)) {
-        int count = 0;
-        for (NodeId u : adj.rev[v]) {
-          if (theta[atom.var0].Contains(u)) ++count;
-        }
-        counters[2 * i + 1][v] = count;
-      }
-    }
-  }
-  for (int i = 0; i < num_atoms; ++i) {
-    const AxisAtom& atom = query.axis_atoms()[i];
-    for (NodeId v = 0; v < n; ++v) {
-      if (theta[atom.var0].Contains(v) && counters[2 * i][v] == 0) {
-        erase_value(atom.var0, v);
-      }
-      if (theta[atom.var1].Contains(v) && counters[2 * i + 1][v] == 0) {
-        erase_value(atom.var1, v);
-      }
-    }
-  }
-
-  // Propagate removals.
-  while (!removed.empty()) {
+  while (!worklist.empty()) {
+    const int i = worklist.front();
+    worklist.pop_front();
+    queued[i] = 0;
+    const AxisAtom& a = atoms[i];
     TREEQ_OBS_INC("cq.ac.propagation_rounds");
-    auto [var, value] = removed.front();
-    removed.pop_front();
-    for (int i = 0; i < num_atoms; ++i) {
-      const AxisAtom& atom = query.axis_atoms()[i];
-      const Adjacency& adj = adjacency.at(atom.axis);
-      if (atom.var1 == var) {
-        // value left Theta(var1): decrement supports of its rev-partners.
-        for (NodeId u : adj.rev[value]) {
-          if (theta[atom.var0].Contains(u) && --counters[2 * i][u] == 0) {
-            erase_value(atom.var0, u);
-          }
-        }
-      }
-      if (atom.var0 == var) {
-        for (NodeId w : adj.fwd[value]) {
-          if (theta[atom.var1].Contains(w) &&
-              --counters[2 * i + 1][w] == 0) {
-            erase_value(atom.var1, w);
-          }
-        }
-      }
-    }
+    AxisImage(tree, orders, InverseAxis(a.axis), theta[a.var1], &image);
+    narrow(a.var0, i);
+    TREEQ_OBS_INC("cq.ac.propagation_rounds");
+    AxisImage(tree, orders, a.axis, theta[a.var0], &image);
+    narrow(a.var1, i);
   }
 
   AcResult result;
@@ -164,7 +109,6 @@ AcResult HornAc(const ConjunctiveQuery& query, const Tree& tree,
                 const TreeOrders& orders, const PreValuation* initial) {
   TREEQ_OBS_SPAN("cq.ac.horn");
   const int n = tree.num_nodes();
-  std::map<Axis, Adjacency> adjacency = MaterializeUsedAxes(query, tree, orders);
 
   horn::HornInstance instance;
   // Proposition ids: var * n + v.
@@ -187,20 +131,22 @@ AcResult HornAc(const ConjunctiveQuery& query, const Tree& tree,
     }
   }
   // { ThetaBar(x, v) <- AND { ThetaBar(y, w) | R(v, w) }  |  R(x, y) in Q }
-  // and symmetrically for the second argument.
+  // and symmetrically for the second argument, over the materialized axes.
+  std::map<Axis, std::vector<std::pair<NodeId, NodeId>>> relations;
+  for (Axis axis : query.AxesUsed()) {
+    relations.emplace(axis, MaterializeAxis(tree, orders, axis));
+  }
   for (const AxisAtom& a : query.axis_atoms()) {
-    const Adjacency& adj = adjacency.at(a.axis);
+    std::vector<std::vector<horn::PredId>> fwd(n), rev(n);
+    for (const auto& [u, v] : relations.at(a.axis)) {
+      fwd[u].push_back(prop(a.var1, v));
+      rev[v].push_back(prop(a.var0, u));
+    }
     for (NodeId v = 0; v < n; ++v) {
-      std::vector<horn::PredId> body;
-      body.reserve(adj.fwd[v].size());
-      for (NodeId w : adj.fwd[v]) body.push_back(prop(a.var1, w));
-      instance.AddClause(prop(a.var0, v), std::move(body));
+      instance.AddClause(prop(a.var0, v), std::move(fwd[v]));
     }
     for (NodeId w = 0; w < n; ++w) {
-      std::vector<horn::PredId> body;
-      body.reserve(adj.rev[w].size());
-      for (NodeId u : adj.rev[w]) body.push_back(prop(a.var0, u));
-      instance.AddClause(prop(a.var1, w), std::move(body));
+      instance.AddClause(prop(a.var1, w), std::move(rev[w]));
     }
   }
 
@@ -223,11 +169,12 @@ AcResult HornAc(const ConjunctiveQuery& query, const Tree& tree,
 AcResult ComputeMaxArcConsistent(const ConjunctiveQuery& query,
                                  const Tree& tree, const TreeOrders& orders,
                                  AcImplementation implementation,
-                                 const PreValuation* initial) {
+                                 const PreValuation* initial,
+                                 const LabelIndex* index) {
   TREEQ_CHECK(query.Validate().ok());
   switch (implementation) {
     case AcImplementation::kDirect:
-      return DirectAc(query, tree, orders, initial);
+      return DirectAc(query, tree, orders, initial, index);
     case AcImplementation::kHornEncoding:
       return HornAc(query, tree, orders, initial);
   }

@@ -77,7 +77,8 @@ Result<bool> EvaluateBooleanDichotomy(const ConjunctiveQuery& query,
                                       const Tree& tree,
                                       const TreeOrders& orders,
                                       bool* used_tractable_path,
-                                      const ExecContext& exec) {
+                                      const ExecContext& exec,
+                                      const LabelIndex* index) {
   ConjunctiveQuery normalized = query;
   normalized.NormalizeInverseAxes();
   SignatureClass c = ClassifySignature(normalized.AxesUsed());
@@ -90,7 +91,8 @@ Result<bool> EvaluateBooleanDichotomy(const ConjunctiveQuery& query,
         1 + static_cast<uint64_t>(tree.num_nodes()) * query.num_vars()));
     TREEQ_ASSIGN_OR_RETURN(
         XEvalResult result,
-        EvaluateXProperty(normalized, tree, orders, *order));
+        EvaluateXProperty(normalized, tree, orders, *order,
+                          AcImplementation::kDirect, index));
     return result.satisfiable;
   }
   if (used_tractable_path != nullptr) *used_tractable_path = false;

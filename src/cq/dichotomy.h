@@ -46,21 +46,25 @@ std::optional<TreeOrder> OrderForClass(SignatureClass c);
 /// evaluation (Theorem 6.5) when the signature is tractable, backtracking
 /// search otherwise. `used_tractable_path`, if non-null, reports which side
 /// ran. The ExecContext bounds the NP-hard branch (charged per assignment
-/// tried) and is checked between stages on the tractable branch.
+/// tried) and is checked between stages on the tractable branch. `index`,
+/// when set, seeds the tractable branch's label restriction.
 Result<bool> EvaluateBooleanDichotomy(const ConjunctiveQuery& query,
                                       const Tree& tree,
                                       const TreeOrders& orders,
                                       bool* used_tractable_path = nullptr,
                                       const ExecContext& exec =
-                                          ExecContext::Unbounded());
+                                          ExecContext::Unbounded(),
+                                      const LabelIndex* index = nullptr);
 
-/// Document-taking overload (tree/document.h); thin forwarder.
+/// Document-taking overload (tree/document.h); thin forwarder that routes
+/// the label atoms through the document's cached LabelIndex.
 inline Result<bool> EvaluateBooleanDichotomy(
     const ConjunctiveQuery& query, const Document& doc,
     bool* used_tractable_path = nullptr,
     const ExecContext& exec = ExecContext::Unbounded()) {
   return EvaluateBooleanDichotomy(query, doc.tree(), doc.orders(),
-                                  used_tractable_path, exec);
+                                  used_tractable_path, exec,
+                                  &doc.label_index());
 }
 
 }  // namespace cq

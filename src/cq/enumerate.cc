@@ -45,6 +45,7 @@ class SolutionEnumerator {
     }
 
     theta_.assign(k, kNullNode);
+    partners_.assign(k, {});
     results_.clear();
     limit_ = limit;
     abort_ = Status::OK();
@@ -54,31 +55,33 @@ class SolutionEnumerator {
   }
 
  private:
-  // Figure 6's enumerate_satisfactions(i). The first failed charge lands in
-  // abort_ and unwinds the recursion.
+  // Figure 6's enumerate_satisfactions(i). Variable x_i ranges over the
+  // partners of its parent's binding among its candidates (all candidates
+  // at the root), in increasing node order. The first failed charge lands
+  // in abort_ and unwinds the recursion.
   void EnumerateSatisfactions(int i) {
     if (!abort_.ok() || results_.size() >= limit_) return;
     const int var = dfs_order_[i];
-    const int parent = reduced_.parent_var[var];
-    for (NodeId v = 0;
-         v < static_cast<NodeId>(reduced_.candidates[var].universe()); ++v) {
-      if (!reduced_.candidates[var].Contains(v)) continue;
+    std::vector<NodeId>& values = partners_[i];
+    if (i == 0) {
+      values = reduced_.candidates[var].ToVector();
+    } else {
+      AxisPartners(tree_, orders_, reduced_.parent_axis[var],
+                   theta_[reduced_.parent_var[var]], reduced_.candidates[var],
+                   &values);
+    }
+    for (NodeId v : values) {
       abort_ = exec_.Charge(1);
       if (!abort_.ok()) return;
-      if (i != 0 &&
-          !AxisHolds(tree_, orders_, reduced_.parent_axis[var],
-                     theta_[parent], v)) {
-        continue;
-      }
       theta_[var] = v;
       if (i == static_cast<int>(dfs_order_.size()) - 1) {
         abort_ = exec_.ChargeMemory(theta_.size() * sizeof(NodeId));
         if (!abort_.ok()) return;
         results_.push_back(theta_);
-        if (results_.size() >= limit_) return;
       } else {
         EnumerateSatisfactions(i + 1);
       }
+      if (!abort_.ok() || results_.size() >= limit_) return;
     }
   }
 
@@ -90,6 +93,8 @@ class SolutionEnumerator {
   Status abort_;
   std::vector<int> dfs_order_;
   std::vector<NodeId> theta_;
+  // partners_[i]: the values x_i ranges over under the current bindings.
+  std::vector<std::vector<NodeId>> partners_;
   std::vector<std::vector<NodeId>> results_;
   uint64_t limit_ = 0;
 };

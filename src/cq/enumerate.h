@@ -24,9 +24,11 @@ namespace cq {
 /// Enumerates complete satisfying valuations (one entry per query variable)
 /// in the variable order of Figure 6 (pre-order DFS of the query tree).
 /// Stops after `limit` solutions. Input must come from FullReducer on a
-/// satisfiable query (reduced.satisfiable). The ExecContext is charged one
-/// unit per candidate node examined plus the solution-vector bytes against
-/// the memory budget, so deadlines bound output enumeration too.
+/// satisfiable query (reduced.satisfiable). Each variable below the root
+/// ranges over AxisPartners of its parent's binding (tree/axes.h), so no
+/// step scans the whole candidate set. The ExecContext is charged one unit
+/// per value bound plus the solution-vector bytes against the memory
+/// budget, so deadlines bound output enumeration too.
 Result<std::vector<std::vector<NodeId>>> EnumerateSolutions(
     const ConjunctiveQuery& query, const Tree& tree, const TreeOrders& orders,
     const ReducedQuery& reduced, uint64_t limit = UINT64_MAX,

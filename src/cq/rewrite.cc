@@ -368,10 +368,6 @@ bool IsChildFamily(Axis a) {
   return a == Axis::kChild || a == Axis::kDescendant ||
          a == Axis::kDescendantOrSelf;
 }
-RewriteAxis PlusOf(Axis a) {
-  return IsChildFamily(a) ? RewriteAxis::kChildPlus
-                          : RewriteAxis::kNextSiblingPlus;
-}
 RewriteAxis AsRewriteAxis(Axis a) {
   switch (a) {
     case Axis::kChild:

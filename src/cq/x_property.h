@@ -68,11 +68,12 @@ struct XEvalResult {
 
 /// Theorem 6.5: evaluates the Boolean query via arc-consistency + minimum
 /// valuation. Requires every axis of `query` (inverse-normalized) to have
-/// the X-property w.r.t. `order`; InvalidArgument otherwise.
+/// the X-property w.r.t. `order`; InvalidArgument otherwise. `index` is
+/// passed through to ComputeMaxArcConsistent's label restriction.
 Result<XEvalResult> EvaluateXProperty(
     const ConjunctiveQuery& query, const Tree& tree, const TreeOrders& orders,
-    TreeOrder order,
-    AcImplementation ac = AcImplementation::kDirect);
+    TreeOrder order, AcImplementation ac = AcImplementation::kDirect,
+    const LabelIndex* index = nullptr);
 
 /// Membership check for a k-ary query: is `tuple` in the result? Realized
 /// as in Section 6 by adding singleton unary relations and evaluating the

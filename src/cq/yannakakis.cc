@@ -5,37 +5,6 @@
 namespace treeq {
 namespace cq {
 
-namespace {
-
-/// Candidate sets restricted by the unary atoms. With a label index, each
-/// atom is a word-wise intersection with the document's cached per-label
-/// bitmap; without one, the historic O(k * n) arena scan.
-PreValuation LabelRestrictedCandidates(const ConjunctiveQuery& query,
-                                       const Tree& tree,
-                                       const LabelIndex* index) {
-  const int n = tree.num_nodes();
-  PreValuation cand(query.num_vars(), NodeSet::All(n));
-  for (const LabelAtom& a : query.label_atoms()) {
-    if (index != nullptr) {
-      const LabelId id = tree.label_table().Lookup(a.label);
-      if (id == kNullLabel) {
-        cand[a.var] = NodeSet(n);  // no node carries an unknown label
-      } else {
-        cand[a.var].IntersectWith(index->Set(id));
-      }
-      continue;
-    }
-    for (NodeId v = 0; v < n; ++v) {
-      if (cand[a.var].Contains(v) && !tree.HasLabel(v, a.label)) {
-        cand[a.var].Erase(v);
-      }
-    }
-  }
-  return cand;
-}
-
-}  // namespace
-
 Result<ReducedQuery> FullReducer(const ConjunctiveQuery& query,
                                  const Tree& tree, const TreeOrders& orders,
                                  int root_var, const LabelIndex* index,

@@ -439,6 +439,97 @@ void AxisImage(const Tree& tree, const TreeOrders& orders, Axis axis,
   TREEQ_CHECK(false);
 }
 
+void AxisPartners(const Tree& tree, const TreeOrders& orders, Axis axis,
+                  NodeId u, const NodeSet& within, std::vector<NodeId>* out) {
+  const int n = tree.num_nodes();
+  TREEQ_CHECK(within.universe() == n);
+  out->clear();
+  auto keep = [&](NodeId v) {
+    if (v != kNullNode && within.Contains(v)) out->push_back(v);
+  };
+  // Partners of a pre-rank range; ranks are node ids when pre_is_identity.
+  auto scan = [&](int begin, int end) {
+    const int words = within.ForEachMemberInRange(
+        begin, end, [&](NodeId v) { out->push_back(v); });
+    TREEQ_OBS_COUNT("axes.words_scanned", words);
+  };
+  switch (axis) {
+    case Axis::kSelf:
+      keep(u);
+      return;
+    case Axis::kParent:
+      keep(tree.parent(u));
+      return;
+    case Axis::kNextSibling:
+      keep(tree.next_sibling(u));
+      return;
+    case Axis::kPrevSibling:
+      keep(tree.prev_sibling(u));
+      return;
+    case Axis::kFirstChild:
+      keep(tree.first_child(u));
+      return;
+    case Axis::kFirstChildInv:
+      if (tree.prev_sibling(u) == kNullNode) keep(tree.parent(u));
+      return;
+    // Link walks: the partners come out in tree order, which need not be
+    // node-id order, so they are sorted below.
+    case Axis::kChild:
+      for (NodeId c = tree.first_child(u); c != kNullNode;
+           c = tree.next_sibling(c)) {
+        keep(c);
+      }
+      break;
+    case Axis::kAncestorOrSelf:
+      keep(u);
+      [[fallthrough]];
+    case Axis::kAncestor:
+      for (NodeId p = tree.parent(u); p != kNullNode; p = tree.parent(p)) {
+        keep(p);
+      }
+      break;
+    case Axis::kFollowingSiblingOrSelf:
+      keep(u);
+      [[fallthrough]];
+    case Axis::kFollowingSibling:
+      for (NodeId s = tree.next_sibling(u); s != kNullNode;
+           s = tree.next_sibling(s)) {
+        keep(s);
+      }
+      break;
+    case Axis::kPrecedingSiblingOrSelf:
+      keep(u);
+      [[fallthrough]];
+    case Axis::kPrecedingSibling:
+      for (NodeId s = tree.prev_sibling(u); s != kNullNode;
+           s = tree.prev_sibling(s)) {
+        keep(s);
+      }
+      break;
+    case Axis::kDescendant:
+    case Axis::kDescendantOrSelf:
+    case Axis::kFollowing:
+      if (orders.pre_is_identity) {
+        if (axis == Axis::kFollowing) {
+          scan(orders.SubtreeEndPre(u), n);
+        } else {
+          scan(orders.pre[u] + (axis == Axis::kDescendant ? 1 : 0),
+               orders.SubtreeEndPre(u));
+        }
+        return;
+      }
+      [[fallthrough]];
+    case Axis::kPreceding: {
+      NodeSet image(n);
+      AxisImage(tree, orders, axis, NodeSet::Singleton(n, u), &image);
+      image.IntersectWith(within);
+      *out = image.ToVector();
+      return;
+    }
+  }
+  std::sort(out->begin(), out->end());
+}
+
 bool AxisImageMemoized(const Tree& tree, const TreeOrders& orders, Axis axis,
                        const NodeSet& from, NodeSet* to, AxisImageMemo* memo) {
   if (memo != nullptr && memo->Lookup(axis, from, to)) return true;

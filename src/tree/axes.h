@@ -81,6 +81,17 @@ bool AxisHolds(const Tree& tree, const TreeOrders& orders, Axis axis, NodeId u,
 void AxisImage(const Tree& tree, const TreeOrders& orders, Axis axis,
                const NodeSet& from, NodeSet* to);
 
+/// The partners of a single node: sets `*out` to { v in `within` :
+/// Axis(u, v) } in increasing node-id order, i.e. AxisImage({u}) ∩ within
+/// without building the singleton image. Child+, Child* and Following scan
+/// only the words of u's pre range (when pre_is_identity); Child and the
+/// ancestor and sibling axes walk the tree links; the single-partner axes
+/// (Parent, NextSibling, FirstChild, ...) are one test. Any other case
+/// falls back to a singleton AxisImage. Adds the words it scans to
+/// `axes.words_scanned`. This is the Figure 6 enumerator's step.
+void AxisPartners(const Tree& tree, const TreeOrders& orders, Axis axis,
+                  NodeId u, const NodeSet& within, std::vector<NodeId>* out);
+
 /// Memoization seam for AxisImage. The cache layer (src/cache/eval_cache.h)
 /// implements this against a per-document, epoch-keyed store; the tree and
 /// evaluator layers only ever see the abstract interface, so they carry no

@@ -97,6 +97,26 @@ class NodeSet {
     }
   }
 
+  /// Like ForEachMember but only over members in [begin, end): touches just
+  /// the words overlapping the range. Returns the number of words touched.
+  template <typename Fn>
+  int ForEachMemberInRange(int begin, int end, Fn&& fn) const {
+    if (begin >= end) return 0;
+    const size_t first = WordOf(begin);
+    const size_t last = WordOf(end - 1);
+    for (size_t wi = first; wi <= last; ++wi) {
+      uint64_t w = words_[wi];
+      if (wi == first) w &= ~uint64_t{0} << BitOf(begin);
+      if (wi == last) w &= ~uint64_t{0} >> (63 - BitOf(end - 1));
+      while (w != 0) {
+        const int bit = std::countr_zero(w);
+        fn(static_cast<NodeId>(wi * 64 + static_cast<size_t>(bit)));
+        w &= w - 1;
+      }
+    }
+    return static_cast<int>(last - first + 1);
+  }
+
   /// Smallest / largest member, or kNullNode if empty. O(words).
   NodeId FirstMember() const;
   NodeId LastMember() const;

@@ -32,14 +32,8 @@ const char* kQueries[] = {
     "Q() :- self(x, x), Lab_a(x).",
 };
 
-class AcPropertyTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(AcPropertyTest, OutputIsArcConsistentOrEmpty) {
-  Rng rng(GetParam());
-  RandomTreeOptions opts;
-  opts.num_nodes = 25;
-  opts.attach_window = 1 + GetParam() % 6;
-  Tree t = RandomTree(&rng, opts);
+// Every query's direct fixpoint is arc-consistent, or some set is empty.
+void CheckOutputIsArcConsistentOrEmpty(const Tree& t) {
   TreeOrders o = ComputeOrders(t);
   for (const char* text : kQueries) {
     ConjunctiveQuery q = MustParse(text);
@@ -54,11 +48,9 @@ TEST_P(AcPropertyTest, OutputIsArcConsistentOrEmpty) {
   }
 }
 
-TEST_P(AcPropertyTest, HornEncodingMatchesDirect) {
-  Rng rng(50 + GetParam());
-  RandomTreeOptions opts;
-  opts.num_nodes = 20;
-  Tree t = RandomTree(&rng, opts);
+// The direct fixpoint and the paper's Horn encoding compute the same
+// maximal pre-valuation, set for set.
+void CheckHornEncodingMatchesDirect(const Tree& t) {
   TreeOrders o = ComputeOrders(t);
   for (const char* text : kQueries) {
     ConjunctiveQuery q = MustParse(text);
@@ -73,6 +65,41 @@ TEST_P(AcPropertyTest, HornEncodingMatchesDirect) {
           << text << " var " << x;
     }
   }
+}
+
+class AcPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(AcPropertyTest, OutputIsArcConsistentOrEmpty) {
+  Rng rng(GetParam());
+  RandomTreeOptions opts;
+  opts.num_nodes = 25;
+  opts.attach_window = 1 + GetParam() % 6;
+  CheckOutputIsArcConsistentOrEmpty(RandomTree(&rng, opts));
+}
+
+TEST_P(AcPropertyTest, HornEncodingMatchesDirect) {
+  Rng rng(50 + GetParam());
+  RandomTreeOptions opts;
+  opts.num_nodes = 20;
+  CheckHornEncodingMatchesDirect(RandomTree(&rng, opts));
+}
+
+// The same checks on 200-node trees, where the worklist re-queues atoms
+// over many more shrink steps.
+TEST_P(AcPropertyTest, OutputIsArcConsistentOrEmptyOnLargerTrees) {
+  Rng rng(200 + GetParam());
+  RandomTreeOptions opts;
+  opts.num_nodes = 200;
+  opts.attach_window = 1 + GetParam() % 6;
+  CheckOutputIsArcConsistentOrEmpty(RandomTree(&rng, opts));
+}
+
+TEST_P(AcPropertyTest, HornEncodingMatchesDirectOnLargerTrees) {
+  Rng rng(250 + GetParam());
+  RandomTreeOptions opts;
+  opts.num_nodes = 200;
+  opts.attach_window = 1 + GetParam() % 6;
+  CheckHornEncodingMatchesDirect(RandomTree(&rng, opts));
 }
 
 // The pre-valuation subsumes every consistent valuation (it is maximal):
@@ -203,6 +230,26 @@ TEST(AcTest, InitialRestrictionIsRespected) {
   AcResult ac2h = ComputeMaxArcConsistent(
       q, t, o, AcImplementation::kHornEncoding, &initial);
   EXPECT_FALSE(ac2h.consistent);
+}
+
+// A self-loop atom R(x, x) narrows both of its sides at once, so one
+// revision is not enough: the fixpoint must re-revise it. No node follows
+// itself, so on a star (where one pass leaves the middle leaves standing)
+// the set must still drain to empty, as in the Horn encoding.
+TEST(AcTest, SelfLoopAtomsReachTheFixpoint) {
+  Tree t = Star(8);
+  TreeOrders o = ComputeOrders(t);
+  for (const char* text :
+       {"Q() :- Following(x, x).", "Q() :- NextSibling+(x, x).",
+        "Q() :- Following(x, x), Lab_a(x)."}) {
+    ConjunctiveQuery q = MustParse(text);
+    AcResult direct = ComputeMaxArcConsistent(q, t, o);
+    AcResult horn =
+        ComputeMaxArcConsistent(q, t, o, AcImplementation::kHornEncoding);
+    EXPECT_FALSE(direct.consistent) << text;
+    EXPECT_FALSE(horn.consistent) << text;
+    EXPECT_EQ(direct.theta[0].ToVector(), horn.theta[0].ToVector()) << text;
+  }
 }
 
 TEST(AcTest, UnsatisfiableLabelYieldsInconsistent) {

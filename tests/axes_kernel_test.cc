@@ -3,7 +3,9 @@
 // operation is checked against a naive std::set<NodeId> reference built
 // from AxisHolds pair tests, over all 17 axes and three tree shapes
 // (random attach, deep path, wide flat), including universes at and around
-// multiples of 64 to exercise the tail-masking edge cases.
+// multiples of 64 to exercise the tail-masking edge cases. The
+// single-node AxisPartners step and NodeSet range enumeration are checked
+// the same way.
 
 #include <gtest/gtest.h>
 
@@ -100,6 +102,36 @@ void CheckAllAxes(const Tree& t, Rng* rng, const char* shape) {
   }
 }
 
+// AxisPartners(u) against the pair-test reference: the members of
+// `within` related to u, in increasing node-id order, for every node u.
+void CheckAllAxisPartners(const Tree& t, Rng* rng, const char* shape) {
+  const int n = t.num_nodes();
+  const TreeOrders o = ComputeOrders(t);
+  std::vector<NodeSet> withins = {NodeSet::All(n)};
+  for (double density : {0.05, 0.5}) {
+    NodeSet within(n);
+    for (NodeId v : RandomSubset(rng, n, density)) within.Insert(v);
+    withins.push_back(within);
+  }
+  std::vector<NodeId> got;
+  for (Axis axis : kAllAxes) {
+    for (const NodeSet& within : withins) {
+      for (NodeId u = 0; u < n; ++u) {
+        std::vector<NodeId> want;
+        for (NodeId v = 0; v < n; ++v) {
+          if (within.Contains(v) && AxisHolds(t, o, axis, u, v)) {
+            want.push_back(v);
+          }
+        }
+        AxisPartners(t, o, axis, u, within, &got);
+        EXPECT_EQ(got, want) << shape << " n=" << n
+                             << " axis=" << AxisName(axis) << " u=" << u
+                             << " |within|=" << within.size();
+      }
+    }
+  }
+}
+
 TEST(AxesKernelTest, DifferentialRandomTrees) {
   Rng rng(1234);
   for (int n : kUniverseSizes) {
@@ -110,6 +142,25 @@ TEST(AxesKernelTest, DifferentialRandomTrees) {
     Tree t = RandomTree(&rng, opts);
     CheckAllAxes(t, &rng, "random");
   }
+}
+
+TEST(AxesKernelTest, AxisPartnersDifferential) {
+  Rng rng(2468);
+  for (int n : kUniverseSizes) {
+    RandomTreeOptions opts;
+    opts.num_nodes = n;
+    opts.attach_window = 4;  // non-pre-order node ids: fallback paths
+    opts.alphabet = {"a", "b"};
+    CheckAllAxisPartners(RandomTree(&rng, opts), &rng, "random");
+    CheckAllAxisPartners(Chain(n, "a", "b"), &rng, "chain");
+    if (n >= 2) CheckAllAxisPartners(Star(n), &rng, "star");
+  }
+  // Catalog node ids are pre ranks: the word-scan paths.
+  CatalogOptions copts;
+  copts.num_products = 6;
+  Tree catalog = CatalogDocument(&rng, copts);
+  ASSERT_TRUE(ComputeOrders(catalog).pre_is_identity);
+  CheckAllAxisPartners(catalog, &rng, "catalog");
 }
 
 TEST(AxesKernelTest, DifferentialDeepPaths) {
@@ -200,6 +251,17 @@ TEST(NodeSetKernelTest, DifferentialSetAlgebra) {
       std::set<NodeId> r_ref = a_ref;
       for (NodeId v = lo; v < hi; ++v) r_ref.insert(v);
       check(r, r_ref, "insert_range");
+
+      // Range enumeration visits exactly a's members in [lo, hi), in
+      // order, touching only the words the range overlaps.
+      std::vector<NodeId> in_range;
+      const int words = a.ForEachMemberInRange(
+          lo, hi, [&](NodeId v) { in_range.push_back(v); });
+      std::vector<NodeId> in_range_ref(a_ref.lower_bound(lo),
+                                       a_ref.lower_bound(hi));
+      EXPECT_EQ(in_range, in_range_ref) << "range n=" << n;
+      EXPECT_EQ(words, lo < hi ? (hi - 1) / 64 - lo / 64 + 1 : 0)
+          << "range n=" << n;
 
       EXPECT_EQ(a.FirstMember(),
                 a_ref.empty() ? kNullNode : *a_ref.begin());

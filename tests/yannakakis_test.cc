@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cq/enumerate.h"
 #include "cq/naive.h"
 #include "cq/parser.h"
@@ -174,6 +176,43 @@ TEST_P(EnumeratePropertyTest, BacktrackFree) {
       EnumerateSolutions(q, t, o, reduced.value(), /*limit=*/7);
   ASSERT_TRUE(some.ok());
   EXPECT_EQ(some.value().size(), 7u);
+}
+
+// A limited run is a prefix of the unlimited one: same solutions, same
+// Figure 6 order, for every limit up to the solution count.
+TEST_P(EnumeratePropertyTest, LimitedRunIsPrefixOfUnlimitedRun) {
+  Rng rng(1000 + GetParam());
+  RandomTreeOptions opts;
+  opts.num_nodes = 40;
+  opts.attach_window = 1 + GetParam() % 4;
+  opts.alphabet = {"a", "b"};
+  Tree t = RandomTree(&rng, opts);
+  TreeOrders o = ComputeOrders(t);
+  std::vector<Axis> pool = {Axis::kChild, Axis::kDescendant,
+                            Axis::kDescendantOrSelf, Axis::kNextSibling,
+                            Axis::kFollowingSibling, Axis::kFollowing,
+                            Axis::kFirstChild};
+  for (int trial = 0; trial < 8; ++trial) {
+    int vars = 2 + static_cast<int>(rng.Uniform(0, 2));
+    ConjunctiveQuery q =
+        RandomTreeQuery(&rng, vars, pool, {"a", "b"}, /*arity=*/1);
+    Result<ReducedQuery> reduced = FullReducer(q, t, o);
+    ASSERT_TRUE(reduced.ok()) << q.ToString();
+    Result<std::vector<std::vector<NodeId>>> all =
+        EnumerateSolutions(q, t, o, reduced.value());
+    ASSERT_TRUE(all.ok()) << q.ToString();
+    const size_t total = all.value().size();
+    for (size_t k : {size_t{0}, size_t{1}, size_t{2}, total / 2, total}) {
+      Result<std::vector<std::vector<NodeId>>> some =
+          EnumerateSolutions(q, t, o, reduced.value(), /*limit=*/k);
+      ASSERT_TRUE(some.ok()) << q.ToString();
+      const size_t want = std::min(k, total);
+      ASSERT_EQ(some.value().size(), want) << q.ToString() << " limit " << k;
+      EXPECT_TRUE(std::equal(some.value().begin(), some.value().end(),
+                             all.value().begin()))
+          << q.ToString() << " limit " << k;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EnumeratePropertyTest, ::testing::Range(0, 6));
