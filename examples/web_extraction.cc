@@ -51,8 +51,7 @@ constexpr const char* kWrapper = R"(
   ?- SaleName.
 )";
 
-void Report(const char* what, const treeq::Tree& tree,
-            const treeq::NodeSet& nodes) {
+void Report(const char* what, const treeq::NodeSet& nodes) {
   std::printf("%-12s:", what);
   for (treeq::NodeId n : nodes.ToVector()) std::printf(" node%d", n);
   std::printf("  (%d match%s)\n", nodes.size(),
@@ -91,7 +90,7 @@ int main() {
       std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
       return 1;
     }
-    Report(pred, tree, result.value());
+    Report(pred, result.value());
   }
   return 0;
 }

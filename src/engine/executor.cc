@@ -419,13 +419,12 @@ void Executor::WorkerLoop() {
         result.ok() && !result.value().degraded) {
       result_cache_->Insert(*task->result_key, result.value());
     }
-    auto elapsed_ns = static_cast<uint64_t>(
+    [[maybe_unused]] const auto elapsed_ns = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start)
             .count());
     TREEQ_OBS_INC("engine.exec.requests");
     if (!result.ok()) TREEQ_OBS_INC("engine.exec.errors");
-    TREEQ_OBS_HISTOGRAM("engine.exec.request_ns", elapsed_ns);
     TREEQ_OBS_HISTOGRAM("engine.execute_ns", elapsed_ns);
     if (task->context != nullptr) {
       TREEQ_OBS_COUNT("exec.visits", task->context->visits_used());

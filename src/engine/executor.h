@@ -47,7 +47,7 @@
 /// Bounded requests: Submit with SubmitOptions attaches an ExecContext
 /// (util/exec_context.h) carrying the request's deadline and budgets; the
 /// returned Submission exposes Cancel(), and the worker threads the context
-/// through Plan::Run so evaluation aborts cooperatively.
+/// through Plan::Execute so evaluation aborts cooperatively.
 ///
 /// Cross-query reuse (Options::eval_cache / result_cache / singleflight;
 /// all off by default — a default-constructed Executor behaves exactly as

@@ -304,68 +304,27 @@ plan::EngineKind Plan::NativeEngine() const {
 }
 
 const char* Plan::route_name() const {
-  switch (query_.language) {
-    case Language::kXPath:
-      return "xpath.set_at_a_time";
-    case Language::kDatalog:
-      return "datalog.tmnf";
-    case Language::kCq:
-      if (!cq_boolean_) return "cq.yannakakis";
-      return cq_class_ == cq::SignatureClass::kNpHard ? "cq.backtracking"
-                                                      : "cq.x_property";
-    case Language::kFo:
-      return fo_positive_ ? "fo.corollary52" : "fo.naive";
+  const plan::EngineKind native = NativeEngine();
+  if (native == plan::EngineKind::kDichotomy) {
+    return cq_class_ == cq::SignatureClass::kNpHard ? "cq.backtracking"
+                                                    : "cq.x_property";
   }
-  return "unknown";
-}
-
-Result<QueryResult> Plan::Run(const Document& doc) const {
-  return Execute(doc, ExecContext::Unbounded(), ExecuteOptions{});
-}
-
-Result<QueryResult> Plan::Run(const Document& doc,
-                              const ExecContext& exec) const {
-  return Execute(doc, exec, ExecuteOptions{});
-}
-
-Result<QueryResult> Plan::Run(const Document& doc, const ExecContext& exec,
-                              bool allow_degraded) const {
-  ExecuteOptions options;
-  options.allow_degraded = allow_degraded;
-  return Execute(doc, exec, options);
+  return plan::EngineName(native);
 }
 
 uint64_t Plan::EstimatedVisits(const Document& doc) const {
   return QuerySize(query_) * (static_cast<uint64_t>(doc.num_nodes()) + 1);
 }
 
-bool Plan::PredictsBlowup(const Document& doc, const ExecContext& exec) const {
-  const uint64_t budget = exec.limits().visit_budget;
-  if (budget == UINT64_MAX) return false;
-  const uint64_t used = exec.visits_used();
-  const uint64_t remaining = budget > used ? budget - used : 0;
-  return EstimatedVisits(doc) > remaining;
-}
-
 std::string Plan::ExplainRouting(const Document& doc) const {
   const plan::DocStats stats = plan::DocStats::For(doc);
-  const plan::EngineKind native = NativeEngine();
-  std::vector<std::pair<uint64_t, plan::EngineKind>> costs;
-  for (plan::EngineKind kind : eligible_) {
-    uint64_t cost = plan::EstimateCost(kind, ir_, stats);
-    if (kind == native) cost -= cost / 5;  // the router's native discount
-    costs.emplace_back(cost, kind);
-  }
-  std::stable_sort(costs.begin(), costs.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
   std::string out = "routing n=" + std::to_string(stats.nodes) + ":";
-  for (const auto& [cost, kind] : costs) {
+  for (const plan::RouteCandidate& c :
+       plan::ScoreRoute(ir_, eligible_, NativeEngine(), stats)) {
     out += " ";
-    out += plan::EngineName(kind);
-    out += "=" + std::to_string(cost);
-    if (kind == native) out += "*";
+    out += plan::EngineName(c.kind);
+    out += "=" + std::to_string(c.cost);
+    if (c.native) out += "*";
   }
   return out;
 }
@@ -400,14 +359,6 @@ Result<QueryResult> Plan::Execute(const Document& doc,
     return result;
   }
 
-  // Budget-bounded requests keep the historical native routing — the
-  // degradation gate and every budget/deadline test depends on the native
-  // engine's exact charge schedule. The cost router only runs for
-  // unbounded requests, where any eligible engine is semantically safe.
-  if (exec.limits().visit_budget != UINT64_MAX) {
-    return ExecuteEngine(NativeEngine(), doc, exec, options);
-  }
-
   if (TREEQ_FAULT_FIRED("plan.route.decide")) {
     // Injected router failure: fall back to the native engine, the one
     // route that needs no routing decision.
@@ -418,9 +369,23 @@ Result<QueryResult> Plan::Execute(const Document& doc,
   const plan::DocStats stats = plan::DocStats::For(doc);
   plan::RouteDecision decision =
       plan::Route(ir_, eligible_, NativeEngine(), stats);
-  Result<QueryResult> result =
-      ExecuteEngine(decision.chosen, doc, exec, options);
+  // Graceful degradation: when the routed engine's predicted charge does
+  // not fit what is left of the visit budget, the streaming evaluator
+  // (O(depth * |Q|) memory, one charge per event) answers instead.
+  const bool degrade =
+      options.allow_degraded && stream_capable() &&
+      decision.chosen != plan::EngineKind::kXPathStream &&
+      plan::EstimateCost(decision.chosen, ir_, stats) >
+          exec.RemainingVisits();
+  if (degrade) {
+    TREEQ_OBS_INC("engine.degraded");
+    decision.rationale += "; over budget, degraded to xpath.stream";
+  }
+  Result<QueryResult> result = ExecuteEngine(
+      degrade ? plan::EngineKind::kXPathStream : decision.chosen, doc, exec,
+      options);
   if (result.ok()) {
+    result.value().degraded = degrade;
     result.value().route_rationale = std::move(decision.rationale);
   }
   return result;
@@ -435,20 +400,6 @@ Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,
   out.engine = plan::EngineName(kind);
   switch (kind) {
     case plan::EngineKind::kXPathSetAtATime: {
-      if (options.allow_degraded && stream_query_ != nullptr &&
-          PredictsBlowup(doc, exec)) {
-        TREEQ_OBS_INC("engine.degraded");
-        out.degraded = true;
-        out.engine = "xpath.stream";
-        TREEQ_ASSIGN_OR_RETURN(
-            std::vector<NodeId> selected,
-            stream::StreamMatcher::SelectFromTree(*stream_query_, doc.tree(),
-                                                  /*stats=*/nullptr, exec));
-        NodeSet nodes(doc.num_nodes());
-        for (NodeId v : selected) nodes.Insert(v);
-        out.value.emplace<NodeSet>(std::move(nodes));
-        return out;
-      }
       // Parallel routing: only when asked for, only with a runner to run
       // the forked tasks, and only when the visit estimate says the query
       // is big enough to amortize fork/merge overhead. The parallel
@@ -487,8 +438,9 @@ Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,
       return out;
     }
     case plan::EngineKind::kXPathStream: {
-      // An honest routing choice (not degradation): the streaming
-      // evaluator's answer is exact, so the result is cacheable.
+      // The streaming evaluator's answer is exact. Chosen by the router
+      // it is cacheable; as a degradation target, Execute flags the
+      // result `degraded` and the caches skip it.
       TREEQ_ASSIGN_OR_RETURN(
           std::vector<NodeId> selected,
           stream::StreamMatcher::SelectFromTree(*stream_query_, doc.tree(),

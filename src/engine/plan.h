@@ -18,7 +18,7 @@
 #include "util/task_runner.h"
 
 /// \file plan.h
-/// A `Plan` is a query parsed, validated, and routed once, then executable
+/// A `Plan` is a query parsed, validated, and lowered once, then executable
 /// any number of times against any Document — the parse-once/run-many half
 /// of the serving story (the PlanCache in plan_cache.h is the other half).
 ///
@@ -28,21 +28,22 @@
 ///     canonicalization (plan/canonicalize.h), giving the plan a stable
 ///     128-bit identity shared by semantically identical queries across
 ///     languages — PlanCache and ResultCache key on it;
-///   - CQ: dichotomy classification (Theorem 6.8) and shape checks, so Run
-///     routes straight to X-property or Yannakakis evaluation;
-///   - FO: sentence check and positivity, so Run routes to the Corollary
+///   - CQ: dichotomy classification (Theorem 6.8) and shape checks, which
+///     fix the native engine (X-property or Yannakakis evaluation);
+///   - FO: sentence check and positivity, which pick the native Corollary
 ///     5.2 pipeline or the naive oracle without re-walking the AST;
 ///   - eligibility: the list of physical engines (plan/cost.h) that can
 ///     answer this plan, native ones plus every engine the IR's structural
 ///     form converts to.
 ///
-/// Execute() picks among the eligible engines with the cost-based router
-/// (plan/route.h) when the request is unbounded; budget-bounded requests
-/// keep the historical native routing (including the streaming degradation
-/// gate), so budget semantics are unchanged. ExecuteOptions::force_route
-/// pins a specific engine for tests and experiments.
+/// Execute() takes one routing decision for every request, bounded or
+/// not: the cost-based router (plan/route.h) picks the cheapest eligible
+/// engine, and under ExecuteOptions::allow_degraded a pick whose predicted
+/// charge does not fit the remaining visit budget runs on the streaming
+/// evaluator instead. ExecuteOptions::force_route pins a specific engine
+/// for tests and experiments.
 ///
-/// A compiled Plan is immutable; Run is const and thread-safe, so one
+/// A compiled Plan is immutable; Execute is const and thread-safe, so one
 /// PlanPtr is shared freely across the Executor's workers.
 
 namespace treeq {
@@ -62,16 +63,16 @@ using ::treeq::QueryResult;
 /// fork/merge overhead of the partition-parallel kernels.
 inline constexpr uint64_t kParallelMinEstimatedVisits = 1 << 16;
 
-/// Per-execution knobs for Plan::Execute. Default-constructed options
-/// reproduce Run(doc, exec) exactly.
+/// Per-execution knobs for Plan::Execute. Default-constructed options run
+/// the routed engine serially, without degradation.
 struct ExecuteOptions {
-  /// Graceful degradation under a budget (see Run's three-arg overload).
+  /// Graceful degradation under a budget (see Execute).
   bool allow_degraded = false;
 
-  /// Intra-query parallelism degree. 0 (or 1) keeps the evaluation serial
-  /// and bit-identical to Run; >= 2 lets an XPath plan fork its axis-image
-  /// steps across that many subtree partitions on `runner`. Ignored (the
-  /// run stays serial) when `runner` is null.
+  /// Intra-query parallelism degree. 0 (or 1) keeps the evaluation serial;
+  /// >= 2 lets a set-at-a-time XPath run fork its axis-image steps across
+  /// that many subtree partitions on `runner`. Ignored (the run stays
+  /// serial) when `runner` is null.
   int parallelism = 0;
 
   /// Who runs forked partition tasks. The Executor passes its own
@@ -107,9 +108,9 @@ struct ExecuteOptions {
 class Plan {
  public:
   /// Parses and validates `text` once. On success the plan is ready for
-  /// concurrent Run() calls. The two-argument form compiles under default
-  /// ParseOptions; the three-argument form pins the parse dialect, which
-  /// the plan remembers (parse_options()) so caches can key on it.
+  /// concurrent Execute() calls. The two-argument form compiles under
+  /// default ParseOptions; the three-argument form pins the parse dialect,
+  /// which the plan remembers (parse_options()) so caches can key on it.
   static Result<PlanPtr> Compile(Language language, std::string_view text);
   static Result<PlanPtr> Compile(Language language, std::string_view text,
                                  const ParseOptions& options);
@@ -122,59 +123,55 @@ class Plan {
   /// options, so PlanCache and the result cache key on these too.
   const ParseOptions& parse_options() const { return parse_options_; }
 
-  /// Evaluates the plan on `doc` with the language's production evaluator:
-  /// set-at-a-time XPath, TMNF datalog pipeline, dichotomy-routed CQ,
-  /// Corollary 5.2 positive FO (naive model checking for general FO
-  /// sentences). Thread-safe; touches no mutable plan state.
+  /// Evaluates the plan on `doc` on the engine the router picks among
+  /// EligibleEngines() — the same decision for bounded and unbounded
+  /// requests. Thread-safe; touches no mutable plan state.
   ///
-  /// With `options.parallelism` >= 2 and a runner, an XPath plan big
-  /// enough for the classifier (`options.parallel_min_visits`) evaluates
-  /// via the partition-parallel kernels — same NodeSet, bit for bit — and
-  /// the result carries partitions/parallel_ns/merge_ns attribution.
   /// Every evaluator charge goes to `exec`, so the run aborts with
   /// DeadlineExceeded / ResourceExhausted / Cancelled as soon as a limit
-  /// trips (util/exec_context.h); with `options.allow_degraded`, an XPath
-  /// plan predicted to blow the visit budget falls back to the
-  /// O(depth * |Q|)-memory streaming evaluator over the forward rewrite
-  /// computed at Compile() time, flagged `degraded`.
-  Result<QueryResult> Execute(const Document& doc, const ExecContext& exec,
-                              const ExecuteOptions& options) const;
-
-  /// Thin wrappers over Execute with default options (kept for existing
-  /// callers; serial, unbounded unless `exec` is given).
-  Result<QueryResult> Run(const Document& doc) const;
-  Result<QueryResult> Run(const Document& doc, const ExecContext& exec) const;
-  Result<QueryResult> Run(const Document& doc, const ExecContext& exec,
-                          bool allow_degraded) const;
+  /// trips (util/exec_context.h). With `options.allow_degraded`, when
+  /// xpath.stream is eligible and the routed engine's EstimateCost exceeds
+  /// the remaining visit budget, the O(depth * |Q|)-memory streaming
+  /// evaluator over the forward rewrite computed at Compile() time answers
+  /// instead, flagged `degraded`. With `options.parallelism` >= 2 and a
+  /// runner, a set-at-a-time XPath run big enough for the classifier
+  /// (`options.parallel_min_visits`) evaluates via the partition-parallel
+  /// kernels — same NodeSet, bit for bit — and the result carries
+  /// partitions/parallel_ns/merge_ns attribution.
+  Result<QueryResult> Execute(
+      const Document& doc,
+      const ExecContext& exec = ExecContext::Unbounded(),
+      const ExecuteOptions& options = {}) const;
 
   /// Wall time Compile() spent on this plan (parse + validate + classify +
   /// stream-rewrite). A cache-hit request did not pay it; per-query
   /// profiles report compile_ns() for cold requests and 0 for hits.
   uint64_t compile_ns() const { return compile_ns_; }
 
-  /// One-line compile-time classification: why Run routes this query where
-  /// it does (dichotomy class, FO positivity, stream capability, and the
-  /// |Q|*(|D|+1) visit-estimate formula). Built once at Compile(); cheap
-  /// to copy into profiles and the slow-query log.
+  /// One-line compile-time classification of the query's native pipeline
+  /// (dichotomy class, FO positivity, stream capability, the |Q|*(|D|+1)
+  /// visit-estimate formula, and the eligible routes). Built once at
+  /// Compile(); cheap to copy into profiles and the slow-query log.
   const std::string& Explain() const { return explain_; }
 
-  /// The evaluator Run routes to, as decided at compile time (a string
-  /// literal). Run's result carries the same name in QueryResult::engine —
-  /// except under degradation, where the result says "xpath.stream".
+  /// The native engine's label (NativeEngine(), with a Boolean CQ's
+  /// dichotomy path predicted from its signature class), as a string
+  /// literal. Execute's result names the engine that actually answered in
+  /// QueryResult::engine, which the router may have picked instead.
   const char* route_name() const;
 
   /// Compile-time routing facts (for tests, logs, and the bench).
   /// CQ only: the Theorem 6.8 signature class.
   cq::SignatureClass cq_class() const { return cq_class_; }
-  /// FO only: whether Run uses the Corollary 5.2 pipeline.
+  /// FO only: whether the native engine is the Corollary 5.2 pipeline.
   bool fo_positive() const { return fo_positive_; }
   /// XPath only: whether the streaming fallback is available (the query is
   /// conjunctive, rewrites to a forward query, and supports selection).
   bool stream_capable() const { return stream_query_ != nullptr; }
 
-  /// The deterministic work estimate the degradation classifier compares
-  /// against the visit budget: |Q| * (|D| + 1) charge units, mirroring the
-  /// set-at-a-time evaluator's charge schedule.
+  /// The deterministic work estimate the parallel classifier compares
+  /// against `parallel_min_visits`: |Q| * (|D| + 1) charge units, mirroring
+  /// the set-at-a-time evaluator's charge schedule.
   uint64_t EstimatedVisits(const Document& doc) const;
 
   /// The canonical logical plan (plan/ir.h) this query lowered to, and its
@@ -193,23 +190,21 @@ class Plan {
   /// fallback and the recipient of its native discount.
   plan::EngineKind NativeEngine() const;
 
-  /// Runtime routing table for `doc`: every eligible engine with its
-  /// estimated cost, cheapest first, one line per engine. Does not
-  /// execute anything.
+  /// Runtime routing table for `doc`: the router's scored candidates
+  /// (plan::ScoreRoute), cheapest first, so the first entry is the engine
+  /// an unforced Execute picks. Executes nothing and counts no decision.
   std::string ExplainRouting(const Document& doc) const;
 
  private:
   Plan() = default;
-
-  bool PredictsBlowup(const Document& doc, const ExecContext& exec) const;
 
   /// Lowers query_ into ir_, canonicalizes, and computes eligible_ plus
   /// the cross-engine forms (twig patterns, CQ branches, FO sentences,
   /// datalog program). Called once at the end of Compile().
   void BuildLogicalPlan();
 
-  /// Runs one specific engine. `kind` must be eligible. The native XPath
-  /// arm keeps the degradation and parallel gates.
+  /// Runs one specific engine. `kind` must be eligible. The set-at-a-time
+  /// XPath arm keeps the parallel gate.
   Result<QueryResult> ExecuteEngine(plan::EngineKind kind,
                                     const Document& doc,
                                     const ExecContext& exec,

@@ -21,7 +21,7 @@
 /// parallel-evaluation attribution) rides alongside.
 ///
 /// Both `engine::Plan::Execute` and `engine::Executor::Submit` return this
-/// type; the older `Run` overloads are thin wrappers that return it too.
+/// type.
 
 namespace treeq {
 
@@ -32,8 +32,8 @@ using TupleSet = std::vector<std::vector<NodeId>>;
 struct QueryResult {
   Language language = Language::kXPath;
 
-  /// True when the engine answered with the streaming fallback instead of
-  /// the set-at-a-time evaluator (graceful degradation under a budget).
+  /// True when the streaming fallback answered instead of the routed
+  /// engine (graceful degradation under a budget).
   bool degraded = false;
 
   /// The evaluator that produced this answer ("xpath.set_at_a_time",
@@ -42,8 +42,9 @@ struct QueryResult {
 
   /// Why the cost-based router picked `engine` (one line, e.g.
   /// "cq.twigstack cost=52 (native xpath.set_at_a_time cost=804)").
-  /// Empty when the router did not run: budget-bounded requests keep the
-  /// historical native routing, and cache hits reuse a stored result.
+  /// Empty when the router did not run: its injected-failure fallback to
+  /// the native engine. Forced runs say "forced: <engine>"; cache hits
+  /// reuse the stored result's rationale.
   std::string route_rationale;
 
   /// Parallel-evaluation attribution (zero when the run stayed serial):

@@ -171,9 +171,9 @@ StormReport RunStorm(const StormOptions& options, const FaultPlan& plan) {
 #ifndef TREEQ_OBS_DISABLED
   const uint64_t submitted_before =
       obs::StatsRegistry::Global().CounterValue("engine.exec.submitted");
-#endif
   const uint64_t result_hits_before = result_cache.hits();
   const uint64_t followers_before = executor.inflight().followers();
+#endif
 
   // --- The storm -------------------------------------------------------
   FaultRegistry::Global().Arm(plan);

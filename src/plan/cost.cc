@@ -43,69 +43,43 @@ uint64_t CandidateCost(const LogicalPlan& plan, const DocStats& stats,
   return std::max<uint64_t>(total, 1);
 }
 
+struct EngineNameEntry {
+  EngineKind kind;
+  const char* name;
+};
+
+/// The one engine-name table. The first row for a kind is its canonical
+/// label; the two trailing dichotomy rows are the post-hoc labels a
+/// cq.dichotomy run reports for the path it actually took.
+constexpr EngineNameEntry kEngineNames[] = {
+    {EngineKind::kXPathSetAtATime, "xpath.set_at_a_time"},
+    {EngineKind::kXPathNaive, "xpath.naive"},
+    {EngineKind::kXPathStream, "xpath.stream"},
+    {EngineKind::kTwigStack, "cq.twigstack"},
+    {EngineKind::kStructuralJoins, "cq.structural_joins"},
+    {EngineKind::kYannakakis, "cq.yannakakis"},
+    {EngineKind::kDichotomy, "cq.dichotomy"},
+    {EngineKind::kDatalogTmnf, "datalog.tmnf"},
+    {EngineKind::kFoCorollary52, "fo.corollary52"},
+    {EngineKind::kFoNaive, "fo.naive"},
+    {EngineKind::kDichotomy, "cq.x_property"},
+    {EngineKind::kDichotomy, "cq.backtracking"},
+};
+
 }  // namespace
 
 const char* EngineName(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kXPathSetAtATime:
-      return "xpath.set_at_a_time";
-    case EngineKind::kXPathNaive:
-      return "xpath.naive";
-    case EngineKind::kXPathStream:
-      return "xpath.stream";
-    case EngineKind::kTwigStack:
-      return "cq.twigstack";
-    case EngineKind::kStructuralJoins:
-      return "cq.structural_joins";
-    case EngineKind::kYannakakis:
-      return "cq.yannakakis";
-    case EngineKind::kDichotomy:
-      return "cq.dichotomy";
-    case EngineKind::kDatalogTmnf:
-      return "datalog.tmnf";
-    case EngineKind::kFoCorollary52:
-      return "fo.corollary52";
-    case EngineKind::kFoNaive:
-      return "fo.naive";
+  for (const EngineNameEntry& entry : kEngineNames) {
+    if (entry.kind == kind) return entry.name;
   }
   return "unknown";
 }
 
 std::optional<EngineKind> ParseEngineName(std::string_view name) {
-  if (name == "xpath.set_at_a_time") return EngineKind::kXPathSetAtATime;
-  if (name == "xpath.naive") return EngineKind::kXPathNaive;
-  if (name == "xpath.stream") return EngineKind::kXPathStream;
-  if (name == "cq.twigstack") return EngineKind::kTwigStack;
-  if (name == "cq.structural_joins") return EngineKind::kStructuralJoins;
-  if (name == "cq.yannakakis") return EngineKind::kYannakakis;
-  if (name == "cq.dichotomy" || name == "cq.x_property" ||
-      name == "cq.backtracking") {
-    return EngineKind::kDichotomy;
+  for (const EngineNameEntry& entry : kEngineNames) {
+    if (entry.name == name) return entry.kind;
   }
-  if (name == "datalog.tmnf") return EngineKind::kDatalogTmnf;
-  if (name == "fo.corollary52") return EngineKind::kFoCorollary52;
-  if (name == "fo.naive") return EngineKind::kFoNaive;
   return std::nullopt;
-}
-
-Language EngineLanguage(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kXPathSetAtATime:
-    case EngineKind::kXPathNaive:
-    case EngineKind::kXPathStream:
-      return Language::kXPath;
-    case EngineKind::kTwigStack:
-    case EngineKind::kStructuralJoins:
-    case EngineKind::kYannakakis:
-    case EngineKind::kDichotomy:
-      return Language::kCq;
-    case EngineKind::kDatalogTmnf:
-      return Language::kDatalog;
-    case EngineKind::kFoCorollary52:
-    case EngineKind::kFoNaive:
-      return Language::kFo;
-  }
-  return Language::kXPath;
 }
 
 DocStats DocStats::For(const Document& doc) {
@@ -141,8 +115,8 @@ uint64_t EstimateCost(EngineKind kind, const LogicalPlan& plan,
   const uint64_t size = PlanSize(plan);
   switch (kind) {
     case EngineKind::kXPathSetAtATime:
-      // |Q| * (n + 1): the Theorem 6.8 set-at-a-time bound — identical to
-      // the EstimatedVisits budget the degradation gate used.
+      // |Q| * (n + 1): the Theorem 6.8 set-at-a-time bound, the shape of
+      // Plan::EstimatedVisits.
       return SatMul(size, SatAdd(n, 1));
     case EngineKind::kXPathNaive:
       // Node-at-a-time recursion touches O(n) per context node.

@@ -6,27 +6,26 @@
 #include <string_view>
 
 #include "plan/ir.h"
-#include "query/parse.h"
 #include "tree/document.h"
 
 /// \file cost.h
-/// The cost model behind the engine router (plan/route.h). One scored
-/// decision subsumes the previous ad-hoc gates: the Theorem 6.8 dichotomy
-/// classifier, the EstimatedVisits stream-degradation gate, and the
-/// parallel_min_visits gate all become terms of per-engine cost formulas
-/// fed by cheap Document statistics (node count, depth, label
-/// frequencies from the LabelIndex).
+/// The cost model behind the engine router (plan/route.h): per-engine
+/// cost formulas fed by cheap Document statistics (node count, depth,
+/// label frequencies from the LabelIndex). The Theorem 6.8 dichotomy
+/// classifier is a term of these formulas, and stream degradation is one
+/// comparison of the chosen engine's cost against the remaining visit
+/// budget (engine/plan.cc).
 ///
 /// Costs are unitless "estimated visits" — deliberately the same scale as
-/// ExecContext's visit accounting, so the set-at-a-time formula equals the
-/// historical EstimatedVisits bound exactly. They only need to *rank*
-/// engines; absolute accuracy is a non-goal.
+/// ExecContext's visit accounting, so the set-at-a-time formula has the
+/// |Q| * (|D| + 1) shape of Plan::EstimatedVisits. They mainly need to
+/// *rank* engines; absolute accuracy is a non-goal.
 
 namespace treeq {
 namespace plan {
 
 /// Every physical engine the router can pick. Names (EngineName) match the
-/// engine labels QueryProfile and Plan::route_name() already expose.
+/// engine labels QueryProfile and Plan::route_name() expose.
 enum class EngineKind {
   kXPathSetAtATime,   // xpath.set_at_a_time
   kXPathNaive,        // xpath.naive (always-dominated baseline)
@@ -40,8 +39,6 @@ enum class EngineKind {
   kFoNaive,           // fo.naive
 };
 
-inline constexpr int kNumEngineKinds = 10;
-
 /// Canonical engine label, e.g. "cq.twigstack".
 const char* EngineName(EngineKind kind);
 
@@ -49,9 +46,6 @@ const char* EngineName(EngineKind kind);
 /// "cq.x_property" and "cq.backtracking" (both map to kDichotomy).
 /// std::nullopt for anything else.
 std::optional<EngineKind> ParseEngineName(std::string_view name);
-
-/// The language whose native pipeline implements `kind`.
-Language EngineLanguage(EngineKind kind);
 
 /// Cheap per-document statistics for the cost formulas. Holds a borrowed
 /// Document pointer for label-frequency lookups; must not outlive it.

@@ -49,11 +49,12 @@ void CountRouteEngine(EngineKind kind) {
 
 }  // namespace
 
-RouteDecision Route(const LogicalPlan& plan,
-                    const std::vector<EngineKind>& eligible,
-                    EngineKind native, const DocStats& stats) {
-  const auto start = std::chrono::steady_clock::now();
-  RouteDecision decision;
+std::vector<RouteCandidate> ScoreRoute(const LogicalPlan& plan,
+                                       const std::vector<EngineKind>& eligible,
+                                       EngineKind native,
+                                       const DocStats& stats) {
+  std::vector<RouteCandidate> candidates;
+  candidates.reserve(eligible.size());
   for (EngineKind kind : eligible) {
     RouteCandidate c;
     c.kind = kind;
@@ -63,13 +64,22 @@ RouteDecision Route(const LogicalPlan& plan,
       // 20% native discount: defect only for a predicted win, not noise.
       c.cost -= c.cost / 5;
     }
-    decision.candidates.push_back(c);
+    candidates.push_back(c);
   }
-  std::stable_sort(decision.candidates.begin(), decision.candidates.end(),
+  std::stable_sort(candidates.begin(), candidates.end(),
                    [](const RouteCandidate& a, const RouteCandidate& b) {
                      if (a.cost != b.cost) return a.cost < b.cost;
                      return a.native && !b.native;  // native wins ties
                    });
+  return candidates;
+}
+
+RouteDecision Route(const LogicalPlan& plan,
+                    const std::vector<EngineKind>& eligible,
+                    EngineKind native, const DocStats& stats) {
+  const auto start = std::chrono::steady_clock::now();
+  RouteDecision decision;
+  decision.candidates = ScoreRoute(plan, eligible, native, stats);
   decision.chosen =
       decision.candidates.empty() ? native : decision.candidates[0].kind;
   decision.rationale = EngineName(decision.chosen);

@@ -449,7 +449,7 @@ void AxisPartners(const Tree& tree, const TreeOrders& orders, Axis axis,
   };
   // Partners of a pre-rank range; ranks are node ids when pre_is_identity.
   auto scan = [&](int begin, int end) {
-    const int words = within.ForEachMemberInRange(
+    [[maybe_unused]] const int words = within.ForEachMemberInRange(
         begin, end, [&](NodeId v) { out->push_back(v); });
     TREEQ_OBS_COUNT("axes.words_scanned", words);
   };

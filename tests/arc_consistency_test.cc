@@ -126,7 +126,9 @@ TEST_P(AcPropertyTest, SubsumesAllSolutions) {
       }
     }
     // And if there is a solution, AC must be consistent.
-    if (!solutions.value().empty()) EXPECT_TRUE(ac.consistent) << text;
+    if (!solutions.value().empty()) {
+      EXPECT_TRUE(ac.consistent) << text;
+    }
   }
 }
 
@@ -206,7 +208,9 @@ TEST(AcGapTest, SatisfiableImpliesArcConsistentOnTrees) {
       AcResult ac = ComputeMaxArcConsistent(q, t, o);
       Result<bool> sat = NaiveSatisfiableCq(q, t, o);
       ASSERT_TRUE(sat.ok());
-      if (sat.value()) EXPECT_TRUE(ac.consistent) << text;
+      if (sat.value()) {
+        EXPECT_TRUE(ac.consistent) << text;
+      }
     }
   }
 }

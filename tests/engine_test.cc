@@ -45,7 +45,7 @@ TEST(PlanTest, XPathPlanMatchesDirectEvaluator) {
   const std::string query = "/catalog/product[reviews/review]/name";
   Result<PlanPtr> plan = Plan::Compile(Language::kXPath, query);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  Result<QueryResult> got = (*plan)->Run(*doc);
+  Result<QueryResult> got = (*plan)->Execute(*doc);
   ASSERT_TRUE(got.ok());
   EXPECT_FALSE(got->is_boolean());
 
@@ -64,7 +64,7 @@ TEST(PlanTest, DatalogPlanMatchesDirectEvaluator) {
   )";
   Result<PlanPtr> plan = Plan::Compile(Language::kDatalog, program);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  Result<QueryResult> got = (*plan)->Run(*doc);
+  Result<QueryResult> got = (*plan)->Execute(*doc);
   ASSERT_TRUE(got.ok());
 
   auto ast = datalog::ParseProgram(program).value();
@@ -80,7 +80,7 @@ TEST(PlanTest, BooleanCqPlanUsesDichotomy) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   // Child+ alone is tau_1: the X-property route.
   EXPECT_EQ((*plan)->cq_class(), cq::SignatureClass::kTau1);
-  Result<QueryResult> got = (*plan)->Run(*doc);
+  Result<QueryResult> got = (*plan)->Execute(*doc);
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(got->is_boolean());
 
@@ -95,7 +95,7 @@ TEST(PlanTest, KAryCqPlanEnumerates) {
       "Q(p, r) :- Child+(p, r), Lab_product(p), Lab_review(r).";
   Result<PlanPtr> plan = Plan::Compile(Language::kCq, query);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  Result<QueryResult> got = (*plan)->Run(*doc);
+  Result<QueryResult> got = (*plan)->Execute(*doc);
   ASSERT_TRUE(got.ok());
   EXPECT_FALSE(got->is_boolean());
   EXPECT_GT(got->tuples().size(), 0u);
@@ -120,7 +120,7 @@ TEST(PlanTest, FoSentencePlans) {
   Result<PlanPtr> plan = Plan::Compile(Language::kFo, positive);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_TRUE((*plan)->fo_positive());
-  Result<QueryResult> got = (*plan)->Run(*doc);
+  Result<QueryResult> got = (*plan)->Execute(*doc);
   ASSERT_TRUE(got.ok());
   auto ast = fo::ParseFo(positive).value();
   EXPECT_EQ(got->boolean(), fo::EvaluateSentencePositive(*ast, *doc).value());
@@ -130,7 +130,7 @@ TEST(PlanTest, FoSentencePlans) {
       Plan::Compile(Language::kFo, "forall x . not Lab_nosuchlabel(x)");
   ASSERT_TRUE(negated.ok()) << negated.status().ToString();
   EXPECT_FALSE((*negated)->fo_positive());
-  Result<QueryResult> neg = (*negated)->Run(*doc);
+  Result<QueryResult> neg = (*negated)->Execute(*doc);
   ASSERT_TRUE(neg.ok());
   EXPECT_TRUE(neg->boolean());
 
@@ -294,7 +294,7 @@ TEST(ExecutorTest, MixedBatchMatchesSequentialEvaluation) {
   for (size_t i = 0; i < requests.size(); ++i) {
     ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
     Result<QueryResult> expected =
-        requests[i].plan->Run(*requests[i].document);
+        requests[i].plan->Execute(*requests[i].document);
     ASSERT_TRUE(expected.ok());
     // The variant compares shape tag and payload in one go.
     EXPECT_EQ(results[i]->value, expected->value);
@@ -506,14 +506,15 @@ TEST(ExecutorTest, VisitBudgetIsDeterministicAcrossSubmissions) {
 }
 
 TEST(ExecutorTest, DegradedFallbackStreamsUnderTinyBudget) {
-  // On a deep all-"a" chain, every step of //a//a//a//a carries a context
-  // of ~n nodes, so the set-at-a-time evaluator charges several times more
-  // than the streaming evaluator's one-unit-per-event pass. That gap is
-  // where graceful degradation pays off.
+  // On a deep all-"a" chain, every step of //a//a//a carries a context of
+  // ~n nodes, so the set-at-a-time evaluator charges more than twice the
+  // streaming evaluator's one-unit-per-event pass. The router still prices
+  // set-at-a-time cheaper for this three-step query; that gap is where
+  // graceful degradation pays off.
   DocumentPtr doc = MakeDocumentWithOrders(Chain(2000, "a"));
-  PlanPtr plan = Plan::Compile(Language::kXPath, "//a//a//a//a").value();
+  PlanPtr plan = Plan::Compile(Language::kXPath, "//a//a//a").value();
   ASSERT_TRUE(plan->stream_capable());
-  NodeSet expected = plan->Run(*doc).value().nodes();
+  NodeSet expected = plan->Execute(*doc).value().nodes();
 
   Executor exec(Executor::Options{.num_workers = 1, .queue_capacity = 4});
 
@@ -540,6 +541,20 @@ TEST(ExecutorTest, DegradedFallbackStreamsUnderTinyBudget) {
   ASSERT_TRUE(soft.ok()) << soft.status().ToString();
   EXPECT_TRUE(soft->degraded);
   EXPECT_EQ(soft->nodes(), expected);
+
+  // One step longer, the router itself picks the streaming evaluator, so a
+  // tight budget has nothing left to degrade: the answer is an honest,
+  // non-degraded xpath.stream run.
+  PlanPtr longer = Plan::Compile(Language::kXPath, "//a//a//a//a").value();
+  SubmitOptions tight;
+  tight.visit_budget = 3 * static_cast<uint64_t>(doc->num_nodes());
+  tight.allow_degraded = true;
+  Result<QueryResult> streamed =
+      exec.Submit({longer, doc, tight}).future.get();
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  EXPECT_EQ(std::string(streamed->engine), "xpath.stream");
+  EXPECT_FALSE(streamed->degraded);
+  EXPECT_EQ(streamed->nodes(), longer->Execute(*doc).value().nodes());
 
   // Negation is outside the conjunctive forward-rewrite fragment, so such
   // a plan is not stream-capable and cannot degrade.
@@ -623,17 +638,17 @@ TEST(PlanTest, ExplainAndRouteNameClassifyAtCompileTime) {
 TEST(PlanTest, RunReportsTheEngineThatAnswered) {
   DocumentPtr doc = Catalog();
   PlanPtr xp = Plan::Compile(Language::kXPath, "//name").value();
-  EXPECT_EQ(std::string(xp->Run(*doc)->engine), "xpath.set_at_a_time");
+  EXPECT_EQ(std::string(xp->Execute(*doc)->engine), "xpath.set_at_a_time");
   PlanPtr bool_cq =
       Plan::Compile(Language::kCq,
                     "Q() :- Child+(x, y), Lab_product(x), Lab_review(y).")
           .value();
-  EXPECT_EQ(std::string(bool_cq->Run(*doc)->engine), "cq.x_property");
+  EXPECT_EQ(std::string(bool_cq->Execute(*doc)->engine), "cq.x_property");
   // The router may honestly send a positive FO sentence to a cheaper
   // cross-language engine; whatever it picks must be one it declared
   // eligible. Forcing the native route pins the fo.corollary52 label.
   PlanPtr fo = Plan::Compile(Language::kFo, "exists x . Lab_name(x)").value();
-  QueryResult routed = fo->Run(*doc).value();
+  QueryResult routed = fo->Execute(*doc).value();
   bool eligible = false;
   for (plan::EngineKind kind : fo->EligibleEngines()) {
     if (std::string(routed.engine) == plan::EngineName(kind)) eligible = true;
@@ -678,7 +693,7 @@ class ScopedGlobalRecorder {
 // wall times, the fallback engine name, and the compile-time explanation.
 TEST(ExecutorTest, ProfileCapturesColdDegradedQuery) {
   obs::StatsRegistry::Global().Reset();
-  const std::string query = "//a//a//a//a";
+  const std::string query = "//a//a//a";
   DocumentPtr doc = MakeDocumentWithOrders(Chain(2000, "a"), "chain2000");
   EXPECT_EQ(doc->name(), "chain2000");
 

@@ -121,7 +121,9 @@ TEST(HornTest, RandomInstancesComputeMinimalModels) {
     for (const auto& [head, body] : spec) {
       bool body_true = true;
       for (PredId p : body) body_true = body_true && truth[p];
-      if (body_true) EXPECT_TRUE(truth[head]);
+      if (body_true) {
+        EXPECT_TRUE(truth[head]);
+      }
     }
     // Minimality: iterate naive closure and compare.
     std::vector<char> closure(preds, 0);

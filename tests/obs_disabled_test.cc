@@ -49,7 +49,8 @@ TEST(ObsDisabledTest, MacrosAreValidSingleStatements) {
   EXPECT_EQ(StatsRegistry::Global().CounterValue("disabled.branch"), 0u);
 }
 
-QueryProfile MakeProfileCounting(int* evaluations) {
+// Only ever named inside a disabled macro, which discards it unevaluated.
+[[maybe_unused]] QueryProfile MakeProfileCounting(int* evaluations) {
   ++*evaluations;
   return QueryProfile{};
 }

@@ -410,7 +410,7 @@ TEST(ParEngineTest, SubmitParallelismMatchesSerial) {
 
   auto plan = engine::Plan::Compile(Language::kXPath, "//a//b");
   ASSERT_TRUE(plan.ok());
-  Result<QueryResult> serial = plan.value()->Run(*doc);
+  Result<QueryResult> serial = plan.value()->Execute(*doc);
   ASSERT_TRUE(serial.ok());
 
   engine::Executor executor(engine::Executor::Options{.num_workers = 4});
@@ -442,7 +442,7 @@ TEST(ParEngineTest, ExecuteOnExecutorRunnerReportsPartitions) {
   DocumentPtr doc = MakeDocumentWithOrders(RandomTree(&rng, opts));
   auto plan = engine::Plan::Compile(Language::kXPath, "//a//b");
   ASSERT_TRUE(plan.ok());
-  Result<QueryResult> serial = plan.value()->Run(*doc);
+  Result<QueryResult> serial = plan.value()->Execute(*doc);
   ASSERT_TRUE(serial.ok());
 
   engine::Executor executor(engine::Executor::Options{.num_workers = 2});

@@ -137,10 +137,10 @@ TEST(PlanRouteDifferentialTest, DialectsProduceBitIdenticalResults) {
     std::vector<PlanPtr> plans = CompileAll(entry);
     ASSERT_EQ(plans.size(), entry.dialects.size());
     for (const DocumentPtr& doc : docs) {
-      Result<QueryResult> want = plans[0]->Run(*doc);
+      Result<QueryResult> want = plans[0]->Execute(*doc);
       ASSERT_TRUE(want.ok()) << want.status().ToString();
       for (size_t i = 1; i < plans.size(); ++i) {
-        Result<QueryResult> got = plans[i]->Run(*doc);
+        Result<QueryResult> got = plans[i]->Execute(*doc);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         EXPECT_EQ(got->value, want->value)
             << entry.dialects[i].text << " on " << doc->name();
@@ -161,7 +161,7 @@ TEST(PlanRouteDifferentialTest, EveryForcedRouteAgreesWithTheRouter) {
       PlanPtr plan = Plan::Compile(d.language, d.text).value();
       ASSERT_FALSE(plan->EligibleEngines().empty()) << d.text;
       for (const DocumentPtr& doc : docs) {
-        Result<QueryResult> routed = plan->Run(*doc);
+        Result<QueryResult> routed = plan->Execute(*doc);
         ASSERT_TRUE(routed.ok()) << routed.status().ToString();
         for (plan::EngineKind kind : plan->EligibleEngines()) {
           ExecuteOptions options;
@@ -175,6 +175,43 @@ TEST(PlanRouteDifferentialTest, EveryForcedRouteAgreesWithTheRouter) {
               << d.text << " forced to " << options.force_route << " on "
               << doc->name();
         }
+      }
+    }
+  }
+}
+
+// One routing decision: a budget-bounded request takes the same route as
+// an unbounded one (the budget only limits it), and ExplainRouting's
+// cheapest candidate is that route.
+TEST(PlanRouteDifferentialTest, BoundedRequestsTakeTheRoutedEngine) {
+  std::vector<DocumentPtr> docs = {Catalog(1), Catalog(7, 3),
+                                   Random(11, 200)};
+  for (const CorpusEntry& entry : Corpus()) {
+    SCOPED_TRACE(entry.name);
+    for (const Dialect& d : entry.dialects) {
+      PlanPtr plan = Plan::Compile(d.language, d.text).value();
+      for (const DocumentPtr& doc : docs) {
+        Result<QueryResult> unbounded = plan->Execute(*doc);
+        ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
+        ExecContext budget = ExecContext::WithVisitBudget(UINT64_MAX - 1);
+        Result<QueryResult> bounded = plan->Execute(*doc, budget);
+        ASSERT_TRUE(bounded.ok()) << bounded.status().ToString();
+        EXPECT_EQ(std::string(bounded->engine), unbounded->engine)
+            << d.text << " on " << doc->name();
+        EXPECT_EQ(bounded->value, unbounded->value)
+            << d.text << " on " << doc->name();
+
+        // "routing n=<nodes>: <engine>=<cost>[*] ..."
+        const std::string table = plan->ExplainRouting(*doc);
+        const size_t begin = table.find(": ");
+        ASSERT_NE(begin, std::string::npos) << table;
+        const size_t end = table.find('=', begin);
+        ASSERT_NE(end, std::string::npos) << table;
+        const std::string first = table.substr(begin + 2, end - begin - 2);
+        EXPECT_EQ(plan::ParseEngineName(first),
+                  plan::ParseEngineName(unbounded->engine))
+            << d.text << " on " << doc->name() << ": " << table << " vs "
+            << unbounded->engine;
       }
     }
   }
@@ -248,7 +285,7 @@ TEST(PlanRouteDifferentialTest, DialectsShareOneResultCacheEntry) {
 TEST(PlanRouteDifferentialTest, ResultsCarryRouteRationale) {
   DocumentPtr doc = Catalog(1);
   PlanPtr plan = Plan::Compile(Language::kXPath, "//name").value();
-  QueryResult routed = plan->Run(*doc).value();
+  QueryResult routed = plan->Execute(*doc).value();
   EXPECT_FALSE(routed.route_rationale.empty());
   EXPECT_NE(routed.route_rationale.find("cost="), std::string::npos);
   ExecContext unbounded;
