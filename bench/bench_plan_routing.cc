@@ -12,7 +12,19 @@
 //                             engine per request costs a table of cost
 //                             formulas, not an evaluation (gated > 0.85).
 //
-// Per-query rows record both wall times and which engine the router chose
+// Those two run over XPath queries only, the language that keeps
+// xpath.naive eligible. The third gate covers all four languages: each
+// XPath query, plus Boolean CQ, k-ary CQ, datalog and FO spellings of
+// bench_engine_throughput's mix, is also forced onto each eligible engine:
+//
+//   regret                    (per row) routed wall / best forced wall,
+//                             over every eligible engine except the
+//                             xpath.naive and fo.naive paper baselines;
+//   route_regret_max          the worst row — a misroute shows as a row
+//                             far above 1 (gated <= 10);
+//   route_regret_geomean      the geometric mean over the rows.
+//
+// Per-query rows record the wall times and which engine the router chose
 // (engine_index is the position in the plan's EligibleEngines() list, 0 =
 // native), so a regression in one query's routing is visible in the JSON
 // diff, not just the aggregate.
@@ -21,7 +33,9 @@
 
 #include "bench_json.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <iterator>
 #include <string>
@@ -56,6 +70,25 @@ constexpr const char* kQueries[] = {
     "/catalog/product[reviews/review]/name",
 };
 constexpr int kNumQueries = static_cast<int>(std::size(kQueries));
+
+struct LanguageQuery {
+  Language language;
+  const char* text;
+};
+
+// The non-XPath queries of bench_engine_throughput's mix: a Boolean CQ, a
+// k-ary CQ, a datalog program and a positive FO sentence. They only enter
+// the regret gate (no xpath.naive to compare against).
+constexpr LanguageQuery kOtherLanguageQueries[] = {
+    {Language::kCq, "Q() :- Child+(x, y), Lab_product(x), Lab_rating1(y)."},
+    {Language::kCq, "Q(p, r) :- Child+(p, r), Lab_product(p), Lab_review(r)."},
+    {Language::kDatalog,
+     "Good(x) :- Lab_rating5(x).\nHasGood(x) :- Child(x, y), Good(y).\n"
+     "?- HasGood."},
+    {Language::kFo,
+     "exists x . exists y . (Child(x, y) and Lab_review(x) and "
+     "Lab_rating5(y))"},
+};
 
 constexpr int kNumDocuments = 4;
 constexpr int kProductsPerDocument = 120;
@@ -103,6 +136,74 @@ uint64_t MeasureWallNs(const PlanPtr& plan, const DocumentStore& store,
   return total;
 }
 
+/// One regret row: the routed wall time and the best forced wall time over
+/// `plan`'s eligible engines, skipping the xpath.naive and fo.naive
+/// baselines. Each mode's time is the fastest of kRegretRounds rounds that
+/// interleave all modes, so warm-up and drift land on every mode alike.
+struct RegretRow {
+  uint64_t routed_ns = UINT64_MAX;
+  uint64_t best_ns = UINT64_MAX;
+  std::string best_engine;
+};
+
+constexpr int kRegretRounds = 3;
+
+RegretRow MeasureRegret(const PlanPtr& plan, const DocumentStore& store) {
+  std::vector<std::string> forced;
+  for (treeq::plan::EngineKind kind : plan->EligibleEngines()) {
+    if (kind != treeq::plan::EngineKind::kXPathNaive &&
+        kind != treeq::plan::EngineKind::kFoNaive) {
+      forced.push_back(treeq::plan::EngineName(kind));
+    }
+  }
+  std::vector<uint64_t> forced_ns(forced.size(), UINT64_MAX);
+  RegretRow row;
+  for (int round = 0; round < kRegretRounds; ++round) {
+    row.routed_ns =
+        std::min(row.routed_ns, MeasureWallNs(plan, store, "", nullptr));
+    for (size_t e = 0; e < forced.size(); ++e) {
+      forced_ns[e] = std::min(forced_ns[e],
+                              MeasureWallNs(plan, store, forced[e], nullptr));
+    }
+  }
+  for (size_t e = 0; e < forced.size(); ++e) {
+    if (forced_ns[e] < row.best_ns) {
+      row.best_ns = forced_ns[e];
+      row.best_engine = forced[e];
+    }
+  }
+  return row;
+}
+
+/// Running max and geometric mean of the per-row regrets.
+struct RegretTally {
+  double max = 0;
+  double log_sum = 0;
+  int rows = 0;
+
+  double Add(uint64_t routed_ns, uint64_t best_ns) {
+    const double regret =
+        static_cast<double>(routed_ns) / static_cast<double>(best_ns);
+    max = std::max(max, regret);
+    log_sum += std::log(regret);
+    ++rows;
+    return regret;
+  }
+  double geomean() const { return std::exp(log_sum / rows); }
+};
+
+/// Position of `engine` in `plan`'s EligibleEngines() (0 = native).
+int EngineIndex(const PlanPtr& plan, const std::string& engine) {
+  const std::vector<treeq::plan::EngineKind>& eligible =
+      plan->EligibleEngines();
+  for (size_t e = 0; e < eligible.size(); ++e) {
+    if (treeq::plan::ParseEngineName(engine) == eligible[e]) {
+      return static_cast<int>(e);
+    }
+  }
+  return -1;
+}
+
 void RunRoutingBench(treeq::benchjson::Record* record) {
   DocumentStore store;
   BuildCorpus(&store);
@@ -116,6 +217,7 @@ void RunRoutingBench(treeq::benchjson::Record* record) {
   uint64_t routed_total_ns = 0;
   uint64_t naive_total_ns = 0;
   uint64_t native_total_ns = 0;
+  RegretTally regret;
   for (int q = 0; q < kNumQueries; ++q) {
     auto compiled = Plan::Compile(Language::kXPath, kQueries[q]);
     TREEQ_CHECK(compiled.ok());
@@ -132,40 +234,72 @@ void RunRoutingBench(treeq::benchjson::Record* record) {
         MeasureWallNs(plan, store, "xpath.naive", nullptr);
     const uint64_t native_ns = MeasureWallNs(
         plan, store, treeq::plan::EngineName(plan->NativeEngine()), nullptr);
+    const RegretRow regret_row = MeasureRegret(plan, store);
     routed_total_ns += routed_ns;
     naive_total_ns += naive_ns;
     native_total_ns += native_ns;
+    const double row_regret =
+        regret.Add(regret_row.routed_ns, regret_row.best_ns);
 
-    // Where the routed pick sits in the eligibility list (0 = native).
-    int engine_index = -1;
-    const std::vector<treeq::plan::EngineKind>& eligible =
-        plan->EligibleEngines();
-    for (size_t e = 0; e < eligible.size(); ++e) {
-      if (routed_engine == treeq::plan::EngineName(eligible[e])) {
-        engine_index = static_cast<int>(e);
-      }
-    }
+    const int engine_index = EngineIndex(plan, routed_engine);
     TREEQ_CHECK(engine_index >= 0);
 
     std::printf("%-40s routed=%-20s %8.2f ms   naive %8.2f ms (%6.1fx)   "
-                "native %8.2f ms\n",
+                "native %8.2f ms   regret %.2f (best %s)\n",
                 kQueries[q], routed_engine.c_str(),
                 static_cast<double>(routed_ns) / 1e6,
                 static_cast<double>(naive_ns) / 1e6,
                 static_cast<double>(naive_ns) /
                     static_cast<double>(routed_ns),
-                static_cast<double>(native_ns) / 1e6);
+                static_cast<double>(native_ns) / 1e6, row_regret,
+                regret_row.best_engine.c_str());
     if (record != nullptr) {
-      record->AddRow({{"query_index", static_cast<double>(q)},
-                      {"engine_index", static_cast<double>(engine_index)},
-                      {"eligible_engines",
-                       static_cast<double>(eligible.size())},
-                      {"routed_wall_ns", static_cast<double>(routed_ns)},
-                      {"naive_wall_ns", static_cast<double>(naive_ns)},
-                      {"native_wall_ns", static_cast<double>(native_ns)},
-                      {"naive_vs_routed",
-                       static_cast<double>(naive_ns) /
-                           static_cast<double>(routed_ns)}});
+      record->AddRow(
+          {{"query_index", static_cast<double>(q)},
+           {"engine_index", static_cast<double>(engine_index)},
+           {"eligible_engines",
+            static_cast<double>(plan->EligibleEngines().size())},
+           {"routed_wall_ns", static_cast<double>(routed_ns)},
+           {"naive_wall_ns", static_cast<double>(naive_ns)},
+           {"native_wall_ns", static_cast<double>(native_ns)},
+           {"naive_vs_routed",
+            static_cast<double>(naive_ns) / static_cast<double>(routed_ns)},
+           {"regret_routed_wall_ns",
+            static_cast<double>(regret_row.routed_ns)},
+           {"best_forced_wall_ns", static_cast<double>(regret_row.best_ns)},
+           {"regret", row_regret}});
+    }
+  }
+
+  for (size_t q = 0; q < std::size(kOtherLanguageQueries); ++q) {
+    const LanguageQuery& query = kOtherLanguageQueries[q];
+    auto compiled = Plan::Compile(query.language, query.text);
+    TREEQ_CHECK(compiled.ok());
+    PlanPtr plan = std::move(compiled).value();
+    std::string routed_engine;
+    (void)MeasureWallNs(plan, store, "", &routed_engine);  // warm-up
+    const RegretRow regret_row = MeasureRegret(plan, store);
+    const double row_regret =
+        regret.Add(regret_row.routed_ns, regret_row.best_ns);
+    const int engine_index = EngineIndex(plan, routed_engine);
+    TREEQ_CHECK(engine_index >= 0);
+
+    std::printf("%-8s q%zu routed=%-20s %8.2f ms   best %-20s %8.2f ms   "
+                "regret %.2f\n",
+                treeq::LanguageName(query.language), q, routed_engine.c_str(),
+                static_cast<double>(regret_row.routed_ns) / 1e6,
+                regret_row.best_engine.c_str(),
+                static_cast<double>(regret_row.best_ns) / 1e6, row_regret);
+    if (record != nullptr) {
+      record->AddRow(
+          {{"query_index", static_cast<double>(kNumQueries + q)},
+           {"engine_index", static_cast<double>(engine_index)},
+           {"eligible_engines",
+            static_cast<double>(plan->EligibleEngines().size())},
+           {"regret_routed_wall_ns",
+            static_cast<double>(regret_row.routed_ns)},
+           {"best_forced_wall_ns", static_cast<double>(regret_row.best_ns)},
+           {"regret", row_regret}});
     }
   }
 
@@ -184,6 +318,8 @@ void RunRoutingBench(treeq::benchjson::Record* record) {
   std::printf("router vs pinned-native: %.2f (>= ~1 when the router only "
               "ever improves on the native engine)\n",
               router_overhead_ratio);
+  std::printf("route regret over %d queries: max %.2f, geomean %.2f\n",
+              regret.rows, regret.max, regret.geomean());
 
   // The routed path must never lose badly to always-native: routing picks
   // the native engine unless an estimate says another engine is cheaper,
@@ -204,6 +340,8 @@ void RunRoutingBench(treeq::benchjson::Record* record) {
                       static_cast<double>(native_total_ns));
     record->SetNumber("router_vs_naive_speedup", router_vs_naive_speedup);
     record->SetNumber("router_overhead_ratio", router_overhead_ratio);
+    record->SetNumber("route_regret_max", regret.max);
+    record->SetNumber("route_regret_geomean", regret.geomean());
   }
 }
 

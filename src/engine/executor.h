@@ -50,8 +50,7 @@
 /// through Plan::Execute so evaluation aborts cooperatively.
 ///
 /// Cross-query reuse (Options::eval_cache / result_cache / singleflight;
-/// all off by default — a default-constructed Executor behaves exactly as
-/// before):
+/// all off by default — a default-constructed Executor caches nothing):
 ///   - With a result cache, an *unbounded* request (no timeout, no visit
 ///     or memory budget, bypass_cache unset) whose (doc epoch, dialect,
 ///     text) key is resident returns an already-ready future from the
@@ -92,7 +91,8 @@ struct SubmitOptions {
   /// is full.
   bool reject_when_full = false;
   /// Allow the plan to fall back to the streaming evaluator when the
-  /// budget classifier predicts the in-memory evaluator would blow up.
+  /// routed engine's EstimateCost exceeds the remaining visit budget
+  /// (Plan::Execute).
   bool allow_degraded = false;
   /// Set by callers that resolved the plan through a PlanCache hit
   /// (PlanCache::GetOrCompile's `was_hit` out-param). The per-query
@@ -111,9 +111,7 @@ struct SubmitOptions {
 };
 
 /// One Submit call as a value: the plan, the document, and the per-request
-/// options, carried together instead of as a growing positional argument
-/// list. New call sites should build one of these and use
-/// Submit(QueryRequest); the positional overloads remain as wrappers.
+/// options.
 struct QueryRequest {
   PlanPtr plan;
   DocumentPtr document;

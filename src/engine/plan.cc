@@ -186,12 +186,15 @@ void Plan::BuildLogicalPlan() {
       break;
     case Language::kCq:
       ir_ = plan::LowerCq(*query_.cq);
+      cq_branches_ = {*query_.cq};
       break;
     case Language::kDatalog:
       ir_ = plan::LowerDatalog(*query_.datalog);
+      datalog_form_ = *query_.datalog;
       break;
     case Language::kFo:
       ir_ = plan::LowerFo(*query_.fo);
+      fo_branches_.push_back(query_.fo->Clone());
       break;
   }
   canonical_hash_ = plan::Canonicalize(&ir_);
@@ -212,8 +215,7 @@ void Plan::BuildLogicalPlan() {
     Result<datalog::Program> translated =
         xpath::XPathToDatalog(*query_.xpath);
     if (translated.ok()) {
-      datalog_form_ = std::make_unique<datalog::Program>(
-          std::move(translated).value());
+      datalog_form_ = std::move(translated).value();
       add(plan::EngineKind::kDatalogTmnf);
     }
   }
@@ -221,7 +223,8 @@ void Plan::BuildLogicalPlan() {
     add(plan::EngineKind::kFoNaive);
   }
 
-  // Cross-engine eligibility comes from the canonical structural IR. An
+  // Cross-engine eligibility comes from the canonical structural IR; its
+  // forms fill only the forms the query's own AST did not seed. An
   // anchored branch (absolute XPath) has no CQ/twig/FO equivalent — the
   // root constraint is not an axis atom — so it stays with its native
   // engines.
@@ -241,9 +244,16 @@ void Plan::BuildLogicalPlan() {
     cqs.push_back(std::move(q));
   }
   if (all_cq) {
-    cq_branches_ = std::move(cqs);
+    if (cq_branches_.empty()) cq_branches_ = std::move(cqs);
     if (ir_.arity == 0) add(plan::EngineKind::kDichotomy);
-    add(plan::EngineKind::kYannakakis);
+    // A Boolean CQ's own query can be cyclic or repeat an atom where its
+    // canonical IR is a tree; Yannakakis runs only on trees.
+    if (std::all_of(cq_branches_.begin(), cq_branches_.end(),
+                    [](const cq::ConjunctiveQuery& q) {
+                      return q.IsTreeShaped();
+                    })) {
+      add(plan::EngineKind::kYannakakis);
+    }
   }
 
   if (ir_.arity >= 1) {
@@ -280,7 +290,7 @@ void Plan::BuildLogicalPlan() {
       sentences.push_back(std::move(sentence));
     }
     if (all_fo) {
-      fo_branches_ = std::move(sentences);
+      if (fo_branches_.empty()) fo_branches_ = std::move(sentences);
       add(plan::EngineKind::kFoCorollary52);
       add(plan::EngineKind::kFoNaive);
     }
@@ -399,18 +409,18 @@ Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,
   out.language = query_.language;
   out.engine = plan::EngineName(kind);
   switch (kind) {
+    // Node engines: each evaluates one node-selecting form to a NodeSet.
     case plan::EngineKind::kXPathSetAtATime: {
       // Parallel routing: only when asked for, only with a runner to run
       // the forked tasks, and only when the visit estimate says the query
       // is big enough to amortize fork/merge overhead. The parallel
       // evaluator's answer is bit-identical to the serial one.
       if (options.parallelism >= 2 && options.runner != nullptr &&
-          EstimatedVisits(doc) >= options.parallel_min_visits) {
+          EstimatedVisits(doc) >= kParallelMinEstimatedVisits) {
         TREEQ_OBS_INC("engine.parallel_runs");
         par::ParOptions par_options;
         par_options.parallelism = options.parallelism;
         par_options.runner = options.runner;
-        par_options.min_context = options.parallel_min_context;
         par::ParStats par_stats;
         TREEQ_ASSIGN_OR_RETURN(
             NodeSet nodes,
@@ -450,79 +460,69 @@ Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,
       out.value.emplace<NodeSet>(std::move(nodes));
       return out;
     }
+    case plan::EngineKind::kDatalogTmnf: {
+      TREEQ_ASSIGN_OR_RETURN(
+          NodeSet nodes, datalog::EvaluateDatalog(*datalog_form_, doc,
+                                                  /*stats=*/nullptr, exec));
+      out.value.emplace<NodeSet>(std::move(nodes));
+      return out;
+    }
+
+    // Tuple engines: the union of every branch's matches, shaped to the
+    // plan's arity.
     case plan::EngineKind::kTwigStack:
-    case plan::EngineKind::kStructuralJoins: {
+    case plan::EngineKind::kStructuralJoins:
+    case plan::EngineKind::kYannakakis: {
+      const bool yannakakis = kind == plan::EngineKind::kYannakakis;
+      const size_t branches =
+          yannakakis ? cq_branches_.size() : twig_branches_.size();
+      bool answer = false;
       NodeSet nodes(doc.num_nodes());
       TupleSet tuples;
-      for (size_t b = 0; b < twig_branches_.size(); ++b) {
-        Result<TupleSet> matches =
-            kind == plan::EngineKind::kTwigStack
-                ? cq::TwigStackJoin(twig_branches_[b], doc,
-                                    /*stats=*/nullptr, exec)
-                : cq::TwigByStructuralJoins(twig_branches_[b], doc.tree(),
-                                            doc.orders(), /*stats=*/nullptr,
-                                            exec);
-        TREEQ_RETURN_IF_ERROR(matches.status());
-        const std::vector<int>& cols = twig_out_cols_[b];
-        for (const std::vector<NodeId>& match : matches.value()) {
+      for (size_t b = 0; b < branches; ++b) {
+        // Output columns of a match; null when a match is already the
+        // output tuple (Yannakakis enumerates the head).
+        const std::vector<int>* cols = nullptr;
+        TupleSet matches;
+        if (yannakakis) {
+          const cq::ConjunctiveQuery* query = &cq_branches_[b];
+          cq::ConjunctiveQuery projected;
+          if (ir_.arity == 0) {
+            // Satisfiability via enumeration: project onto one variable
+            // and test non-emptiness.
+            projected = *query;
+            projected.AddHeadVar(0);
+            query = &projected;
+          }
+          TREEQ_ASSIGN_OR_RETURN(
+              matches, cq::EvaluateAcyclic(*query, doc, UINT64_MAX, exec,
+                                           options.axis_memo));
+        } else {
+          cols = &twig_out_cols_[b];
+          TREEQ_ASSIGN_OR_RETURN(
+              matches,
+              kind == plan::EngineKind::kTwigStack
+                  ? cq::TwigStackJoin(twig_branches_[b], doc,
+                                      /*stats=*/nullptr, exec)
+                  : cq::TwigByStructuralJoins(twig_branches_[b], doc.tree(),
+                                              doc.orders(),
+                                              /*stats=*/nullptr, exec));
+        }
+        answer = answer || !matches.empty();
+        if (ir_.arity == 0) continue;
+        for (std::vector<NodeId>& match : matches) {
           if (ir_.arity == 1) {
-            nodes.Insert(match[static_cast<size_t>(cols[0])]);
+            nodes.Insert(
+                match[cols == nullptr ? 0 : static_cast<size_t>((*cols)[0])]);
+          } else if (cols == nullptr) {
+            tuples.push_back(std::move(match));
           } else {
             std::vector<NodeId> tuple;
-            tuple.reserve(cols.size());
-            for (int col : cols) {
+            tuple.reserve(cols->size());
+            for (int col : *cols) {
               tuple.push_back(match[static_cast<size_t>(col)]);
             }
             tuples.push_back(std::move(tuple));
-          }
-        }
-      }
-      if (ir_.arity == 1) {
-        out.value.emplace<NodeSet>(std::move(nodes));
-      } else {
-        NormalizeTuples(&tuples);
-        out.value.emplace<TupleSet>(std::move(tuples));
-      }
-      return out;
-    }
-    case plan::EngineKind::kYannakakis: {
-      if (query_.language == Language::kCq && !cq_boolean_) {
-        TREEQ_ASSIGN_OR_RETURN(
-            TupleSet tuples,
-            cq::EvaluateAcyclic(*query_.cq, doc, UINT64_MAX, exec,
-                                options.axis_memo));
-        if (ir_.arity == 1) {
-          NodeSet nodes(doc.num_nodes());
-          for (const std::vector<NodeId>& t : tuples) nodes.Insert(t[0]);
-          out.value.emplace<NodeSet>(std::move(nodes));
-        } else {
-          NormalizeTuples(&tuples);
-          out.value.emplace<TupleSet>(std::move(tuples));
-        }
-        return out;
-      }
-      // Cross-engine (or Boolean) evaluation over the canonical branches.
-      NodeSet nodes(doc.num_nodes());
-      TupleSet tuples;
-      bool answer = false;
-      for (const cq::ConjunctiveQuery& branch : cq_branches_) {
-        cq::ConjunctiveQuery query = branch;
-        if (ir_.arity == 0) {
-          // Satisfiability via enumeration: project onto one variable and
-          // test non-emptiness.
-          query.AddHeadVar(0);
-        }
-        TREEQ_ASSIGN_OR_RETURN(
-            TupleSet matches,
-            cq::EvaluateAcyclic(query, doc, UINT64_MAX, exec,
-                                options.axis_memo));
-        if (ir_.arity == 0) {
-          answer = answer || !matches.empty();
-        } else if (ir_.arity == 1) {
-          for (const std::vector<NodeId>& t : matches) nodes.Insert(t[0]);
-        } else {
-          for (std::vector<NodeId>& t : matches) {
-            tuples.push_back(std::move(t));
           }
         }
       }
@@ -536,80 +536,36 @@ Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,
       }
       return out;
     }
-    case plan::EngineKind::kDichotomy: {
-      if (query_.language == Language::kCq) {
-        bool used_tractable_path = false;
+
+    // Sentence engines: true as soon as one branch is satisfied.
+    case plan::EngineKind::kDichotomy:
+    case plan::EngineKind::kFoCorollary52:
+    case plan::EngineKind::kFoNaive: {
+      const size_t branches = kind == plan::EngineKind::kDichotomy
+                                  ? cq_branches_.size()
+                                  : fo_branches_.size();
+      bool answer = false;
+      bool used_tractable_path = false;
+      for (size_t b = 0; b < branches && !answer; ++b) {
         TREEQ_ASSIGN_OR_RETURN(
-            bool answer,
-            cq::EvaluateBooleanDichotomy(*query_.cq, doc,
-                                         &used_tractable_path, exec));
-        out.value.emplace<bool>(answer);
-        // Report the route the dichotomy actually took, not the prediction.
+            answer,
+            kind == plan::EngineKind::kDichotomy
+                ? cq::EvaluateBooleanDichotomy(cq_branches_[b], doc,
+                                               &used_tractable_path, exec)
+            : kind == plan::EngineKind::kFoCorollary52
+                ? fo::EvaluateSentencePositive(*fo_branches_[b], doc,
+                                               /*stats=*/nullptr, exec)
+                : fo::EvaluateSentenceNaive(*fo_branches_[b], doc,
+                                            UINT64_MAX, exec));
+      }
+      out.value.emplace<bool>(answer);
+      if (kind == plan::EngineKind::kDichotomy &&
+          query_.language == Language::kCq) {
+        // A CQ plan reports the path the dichotomy actually took, not the
+        // prediction.
         out.engine =
             used_tractable_path ? "cq.x_property" : "cq.backtracking";
-        return out;
       }
-      bool answer = false;
-      for (const cq::ConjunctiveQuery& branch : cq_branches_) {
-        if (answer) break;
-        TREEQ_ASSIGN_OR_RETURN(
-            bool branch_answer,
-            cq::EvaluateBooleanDichotomy(branch, doc,
-                                         /*used_tractable_path=*/nullptr,
-                                         exec));
-        answer = branch_answer;
-      }
-      out.value.emplace<bool>(answer);
-      return out;
-    }
-    case plan::EngineKind::kDatalogTmnf: {
-      const datalog::Program& program = query_.language == Language::kDatalog
-                                            ? *query_.datalog
-                                            : *datalog_form_;
-      TREEQ_ASSIGN_OR_RETURN(
-          NodeSet nodes,
-          datalog::EvaluateDatalog(program, doc, /*stats=*/nullptr, exec));
-      out.value.emplace<NodeSet>(std::move(nodes));
-      return out;
-    }
-    case plan::EngineKind::kFoCorollary52: {
-      if (query_.language == Language::kFo) {
-        TREEQ_ASSIGN_OR_RETURN(
-            bool answer,
-            fo::EvaluateSentencePositive(*query_.fo, doc, /*stats=*/nullptr,
-                                         exec));
-        out.value.emplace<bool>(answer);
-        return out;
-      }
-      bool answer = false;
-      for (const std::unique_ptr<fo::Formula>& sentence : fo_branches_) {
-        if (answer) break;
-        TREEQ_ASSIGN_OR_RETURN(
-            bool branch_answer,
-            fo::EvaluateSentencePositive(*sentence, doc, /*stats=*/nullptr,
-                                         exec));
-        answer = branch_answer;
-      }
-      out.value.emplace<bool>(answer);
-      return out;
-    }
-    case plan::EngineKind::kFoNaive: {
-      if (query_.language == Language::kFo) {
-        TREEQ_ASSIGN_OR_RETURN(
-            bool answer,
-            fo::EvaluateSentenceNaive(*query_.fo, doc, UINT64_MAX, exec));
-        out.value.emplace<bool>(answer);
-        return out;
-      }
-      bool answer = false;
-      for (const std::unique_ptr<fo::Formula>& sentence : fo_branches_) {
-        if (answer) break;
-        TREEQ_ASSIGN_OR_RETURN(
-            bool branch_answer,
-            fo::EvaluateSentenceNaive(*sentence, doc, UINT64_MAX, exec));
-        answer = branch_answer;
-      }
-      out.value.emplace<bool>(answer);
       return out;
     }
   }

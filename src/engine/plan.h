@@ -2,6 +2,7 @@
 #define TREEQ_ENGINE_PLAN_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -54,8 +55,8 @@ class Plan;
 /// Shared read-only handle to a compiled plan.
 using PlanPtr = std::shared_ptr<const Plan>;
 
-/// The unified result type (engine/query.h) lives in the top-level treeq
-/// namespace; re-exported here where it historically lived.
+/// The unified result type (engine/query.h), re-exported into
+/// treeq::engine for the engine's callers.
 using ::treeq::QueryResult;
 
 /// Estimated-visits floor below which Execute keeps an XPath plan serial
@@ -70,24 +71,16 @@ struct ExecuteOptions {
   bool allow_degraded = false;
 
   /// Intra-query parallelism degree. 0 (or 1) keeps the evaluation serial;
-  /// >= 2 lets a set-at-a-time XPath run fork its axis-image steps across
-  /// that many subtree partitions on `runner`. Ignored (the run stays
-  /// serial) when `runner` is null.
+  /// >= 2 lets a set-at-a-time XPath run whose EstimatedVisits(doc) reaches
+  /// kParallelMinEstimatedVisits fork its axis-image steps across that many
+  /// subtree partitions on `runner`. Ignored (the run stays serial) when
+  /// `runner` is null.
   int parallelism = 0;
 
   /// Who runs forked partition tasks. The Executor passes its own
   /// fork-join runner (engine/task_group.h); standalone callers can pass a
   /// par::ThreadPerTaskRunner or par::SerialRunner (util/task_runner.h).
   par::TaskRunner* runner = nullptr;
-
-  /// Classifier floor: plans whose EstimatedVisits(doc) is below this stay
-  /// serial regardless of `parallelism`. Tests lower it to force the
-  /// parallel path on small documents.
-  uint64_t parallel_min_visits = kParallelMinEstimatedVisits;
-
-  /// Per-step floor: axis steps whose context set is smaller than this
-  /// stay serial inside a parallel run (par::ParOptions::min_context).
-  int parallel_min_context = 1024;
 
   /// Cross-query axis-image memo (tree/axes.h; in practice a
   /// cache::EvalCache::Memo bound to the document's epoch). When set, the
@@ -135,7 +128,7 @@ class Plan {
   /// evaluator over the forward rewrite computed at Compile() time answers
   /// instead, flagged `degraded`. With `options.parallelism` >= 2 and a
   /// runner, a set-at-a-time XPath run big enough for the classifier
-  /// (`options.parallel_min_visits`) evaluates via the partition-parallel
+  /// (kParallelMinEstimatedVisits) evaluates via the partition-parallel
   /// kernels — same NodeSet, bit for bit — and the result carries
   /// partitions/parallel_ns/merge_ns attribution.
   Result<QueryResult> Execute(
@@ -170,8 +163,8 @@ class Plan {
   bool stream_capable() const { return stream_query_ != nullptr; }
 
   /// The deterministic work estimate the parallel classifier compares
-  /// against `parallel_min_visits`: |Q| * (|D| + 1) charge units, mirroring
-  /// the set-at-a-time evaluator's charge schedule.
+  /// against kParallelMinEstimatedVisits: |Q| * (|D| + 1) charge units,
+  /// mirroring the set-at-a-time evaluator's charge schedule.
   uint64_t EstimatedVisits(const Document& doc) const;
 
   /// The canonical logical plan (plan/ir.h) this query lowered to, and its
@@ -199,11 +192,14 @@ class Plan {
   Plan() = default;
 
   /// Lowers query_ into ir_, canonicalizes, and computes eligible_ plus
-  /// the cross-engine forms (twig patterns, CQ branches, FO sentences,
-  /// datalog program). Called once at the end of Compile().
+  /// the engine forms (CQ branches, twig patterns, FO sentences, datalog
+  /// program): the query's own AST seeds its language's form, and the IR
+  /// fills the forms still empty. Called once at the end of Compile().
   void BuildLogicalPlan();
 
-  /// Runs one specific engine. `kind` must be eligible. The set-at-a-time
+  /// Runs one specific engine on its form. `kind` must be eligible. Arms
+  /// group by result shape: node engines, tuple engines (branch union +
+  /// arity shaping), sentence engines (any branch). The set-at-a-time
   /// XPath arm keeps the parallel gate.
   Result<QueryResult> ExecuteEngine(plan::EngineKind kind,
                                     const Document& doc,
@@ -227,14 +223,16 @@ class Plan {
   plan::CanonicalHash canonical_hash_;
   /// Engines that can answer this plan, native first.
   std::vector<plan::EngineKind> eligible_;
-  /// Cross-engine forms synthesized from the canonical IR (empty/null when
-  /// the matching engine is not eligible). One entry per IR branch.
+  /// Engine forms (empty when no eligible engine reads them). A CQ plan's
+  /// cq_branches_ and an FO plan's fo_branches_ hold the query itself as
+  /// their one branch; otherwise there is one entry per IR branch.
   std::vector<cq::ConjunctiveQuery> cq_branches_;
   std::vector<cq::TwigPattern> twig_branches_;
   std::vector<std::vector<int>> twig_out_cols_;
   std::vector<std::unique_ptr<fo::Formula>> fo_branches_;
-  /// XPath only: the TMNF translation (xpath/to_datalog.h), when it exists.
-  std::unique_ptr<datalog::Program> datalog_form_;
+  /// The datalog program itself, or an XPath query's TMNF translation
+  /// (xpath/to_datalog.h) when it exists.
+  std::optional<datalog::Program> datalog_form_;
 };
 
 }  // namespace engine

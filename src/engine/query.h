@@ -11,13 +11,11 @@
 #include "tree/node_set.h"
 
 /// \file query.h
-/// The unified result type of every treeq query execution. Before this
-/// header, the engine exposed three result shapes — a NodeSet for
-/// node-selecting languages, a TupleSet for k-ary CQs, and a bool (plus an
-/// `is_boolean` flag) for sentences — spread across parallel fields that
-/// were all populated-or-garbage. `treeq::QueryResult` collapses them into
-/// one tagged variant: exactly one of the three shapes is held, accessors
-/// check the tag, and execution metadata (engine route, degradation flag,
+/// The unified result type of every treeq query execution. A query answers
+/// in one of three shapes — a NodeSet for node-selecting languages, a
+/// TupleSet for k-ary CQs, a bool for sentences — and `treeq::QueryResult`
+/// holds exactly one of them in a tagged variant whose accessors check the
+/// tag. Execution metadata (engine route, degradation flag,
 /// parallel-evaluation attribution) rides alongside.
 ///
 /// Both `engine::Plan::Execute` and `engine::Executor::Submit` return this

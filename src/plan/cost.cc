@@ -1,6 +1,9 @@
 #include "plan/cost.h"
 
 #include <algorithm>
+#include <iterator>
+
+#include "obs/obs.h"
 
 namespace treeq {
 namespace plan {
@@ -43,44 +46,118 @@ uint64_t CandidateCost(const LogicalPlan& plan, const DocStats& stats,
   return std::max<uint64_t>(total, 1);
 }
 
-struct EngineNameEntry {
+/// Quantifier nesting n^k over the plan's k variables (every branch's,
+/// or |Q| for an opaque plan) — saturates quickly, as it should.
+uint64_t FoNaiveCost(const LogicalPlan& plan, const DocStats& stats) {
+  uint64_t vars = 0;
+  for (const QueryGraph& g : plan.branches) vars += g.vars.size();
+  if (!plan.structural()) vars = PlanSize(plan);
+  uint64_t cost = 1;
+  for (uint64_t i = 0; i < std::max<uint64_t>(vars, 1); ++i) {
+    cost = SatMul(cost, std::max<uint64_t>(stats.nodes, 2));
+  }
+  return cost;
+}
+
+/// One physical engine: its canonical label, its cost formula, and its
+/// plan.route.<engine> counter. TREEQ_OBS_INC caches one counter per
+/// macro site, so each row spells its counter as its own literal.
+struct EngineRow {
   EngineKind kind;
   const char* name;
+  uint64_t (*cost)(const LogicalPlan& plan, const DocStats& stats);
+  void (*count_route)();
 };
 
-/// The one engine-name table. The first row for a kind is its canonical
-/// label; the two trailing dichotomy rows are the post-hoc labels a
-/// cq.dichotomy run reports for the path it actually took.
-constexpr EngineNameEntry kEngineNames[] = {
-    {EngineKind::kXPathSetAtATime, "xpath.set_at_a_time"},
-    {EngineKind::kXPathNaive, "xpath.naive"},
-    {EngineKind::kXPathStream, "xpath.stream"},
-    {EngineKind::kTwigStack, "cq.twigstack"},
-    {EngineKind::kStructuralJoins, "cq.structural_joins"},
-    {EngineKind::kYannakakis, "cq.yannakakis"},
-    {EngineKind::kDichotomy, "cq.dichotomy"},
-    {EngineKind::kDatalogTmnf, "datalog.tmnf"},
-    {EngineKind::kFoCorollary52, "fo.corollary52"},
-    {EngineKind::kFoNaive, "fo.naive"},
-    {EngineKind::kDichotomy, "cq.x_property"},
-    {EngineKind::kDichotomy, "cq.backtracking"},
+/// The one engine table, one row per EngineKind in enum order.
+constexpr EngineRow kEngines[] = {
+    {EngineKind::kXPathSetAtATime, "xpath.set_at_a_time",
+     // |Q| * (n + 1): the Theorem 6.8 set-at-a-time bound, the shape of
+     // Plan::EstimatedVisits.
+     [](const LogicalPlan& plan, const DocStats& stats) {
+       return SatMul(PlanSize(plan), SatAdd(stats.nodes, 1));
+     },
+     [] { TREEQ_OBS_INC("plan.route.xpath_set_at_a_time"); }},
+    {EngineKind::kXPathNaive, "xpath.naive",
+     // Node-at-a-time recursion touches O(n) per context node.
+     [](const LogicalPlan& plan, const DocStats& stats) {
+       return SatMul(PlanSize(plan), SatMul(stats.nodes, stats.nodes));
+     },
+     [] { TREEQ_OBS_INC("plan.route.xpath_naive"); }},
+    {EngineKind::kXPathStream, "xpath.stream",
+     // One SAX pass; the constant covers per-event transducer work.
+     [](const LogicalPlan&, const DocStats& stats) {
+       return std::max<uint64_t>(SatMul(6, stats.nodes), 1);
+     },
+     [] { TREEQ_OBS_INC("plan.route.xpath_stream"); }},
+    {EngineKind::kTwigStack, "cq.twigstack",
+     // Holistic: linear in the merged label streams.
+     [](const LogicalPlan& plan, const DocStats& stats) {
+       return CandidateCost(plan, stats, 4);
+     },
+     [] { TREEQ_OBS_INC("plan.route.cq_twigstack"); }},
+    {EngineKind::kStructuralJoins, "cq.structural_joins",
+     // Binary joins re-scan intermediate results; a bit worse than twig.
+     [](const LogicalPlan& plan, const DocStats& stats) {
+       return CandidateCost(plan, stats, 6);
+     },
+     [] { TREEQ_OBS_INC("plan.route.cq_structural_joins"); }},
+    {EngineKind::kYannakakis, "cq.yannakakis",
+     [](const LogicalPlan& plan, const DocStats& stats) {
+       return CandidateCost(plan, stats, 4);
+     },
+     [] { TREEQ_OBS_INC("plan.route.cq_yannakakis"); }},
+    {EngineKind::kDichotomy, "cq.dichotomy",
+     // Boolean arc-consistency over candidate sets (X-property path).
+     [](const LogicalPlan& plan, const DocStats& stats) {
+       return CandidateCost(plan, stats, 3);
+     },
+     [] { TREEQ_OBS_INC("plan.route.cq_dichotomy"); }},
+    {EngineKind::kDatalogTmnf, "datalog.tmnf",
+     // TMNF fixpoint: rules * nodes, two passes amortized.
+     [](const LogicalPlan& plan, const DocStats& stats) {
+       return SatMul(PlanSize(plan), SatMul(stats.nodes, 2));
+     },
+     [] { TREEQ_OBS_INC("plan.route.datalog_tmnf"); }},
+    {EngineKind::kFoCorollary52, "fo.corollary52",
+     // Corollary 5.2 pipeline is linear in |formula| * n after rewriting.
+     [](const LogicalPlan& plan, const DocStats& stats) {
+       return SatMul(PlanSize(plan), SatMul(stats.nodes, 2));
+     },
+     [] { TREEQ_OBS_INC("plan.route.fo_corollary52"); }},
+    {EngineKind::kFoNaive, "fo.naive", FoNaiveCost,
+     [] { TREEQ_OBS_INC("plan.route.fo_naive"); }},
 };
+
+constexpr bool RowsFollowEnumOrder() {
+  for (size_t i = 0; i < std::size(kEngines); ++i) {
+    if (kEngines[i].kind != static_cast<EngineKind>(i)) return false;
+  }
+  return true;
+}
+static_assert(RowsFollowEnumOrder(),
+              "kEngines must hold one row per EngineKind, in enum order");
+
+const EngineRow& Row(EngineKind kind) {
+  return kEngines[static_cast<size_t>(kind)];
+}
 
 }  // namespace
 
-const char* EngineName(EngineKind kind) {
-  for (const EngineNameEntry& entry : kEngineNames) {
-    if (entry.kind == kind) return entry.name;
-  }
-  return "unknown";
-}
+const char* EngineName(EngineKind kind) { return Row(kind).name; }
 
 std::optional<EngineKind> ParseEngineName(std::string_view name) {
-  for (const EngineNameEntry& entry : kEngineNames) {
-    if (entry.name == name) return entry.kind;
+  for (const EngineRow& row : kEngines) {
+    if (row.name == name) return row.kind;
+  }
+  // The post-hoc labels a cq.dichotomy run reports for the path it took.
+  if (name == "cq.x_property" || name == "cq.backtracking") {
+    return EngineKind::kDichotomy;
   }
   return std::nullopt;
 }
+
+void CountRoute(EngineKind kind) { Row(kind).count_route(); }
 
 DocStats DocStats::For(const Document& doc) {
   DocStats stats;
@@ -111,49 +188,7 @@ uint64_t DocStats::VarCandidates(const IrVar& var) const {
 
 uint64_t EstimateCost(EngineKind kind, const LogicalPlan& plan,
                       const DocStats& stats) {
-  const uint64_t n = stats.nodes;
-  const uint64_t size = PlanSize(plan);
-  switch (kind) {
-    case EngineKind::kXPathSetAtATime:
-      // |Q| * (n + 1): the Theorem 6.8 set-at-a-time bound, the shape of
-      // Plan::EstimatedVisits.
-      return SatMul(size, SatAdd(n, 1));
-    case EngineKind::kXPathNaive:
-      // Node-at-a-time recursion touches O(n) per context node.
-      return SatMul(size, SatMul(n, n));
-    case EngineKind::kXPathStream:
-      // One SAX pass; the constant covers per-event transducer work.
-      return std::max<uint64_t>(SatMul(6, n), 1);
-    case EngineKind::kTwigStack:
-      // Holistic: linear in the merged label streams.
-      return CandidateCost(plan, stats, 4);
-    case EngineKind::kStructuralJoins:
-      // Binary joins re-scan intermediate results; a bit worse than twig.
-      return CandidateCost(plan, stats, 6);
-    case EngineKind::kYannakakis:
-      return CandidateCost(plan, stats, 4);
-    case EngineKind::kDichotomy:
-      // Boolean arc-consistency over candidate sets (X-property path).
-      return CandidateCost(plan, stats, 3);
-    case EngineKind::kDatalogTmnf:
-      // TMNF fixpoint: rules * nodes, two passes amortized.
-      return SatMul(size, SatMul(n, 2));
-    case EngineKind::kFoCorollary52:
-      // Corollary 5.2 pipeline is linear in |formula| * n after rewriting.
-      return SatMul(size, SatMul(n, 2));
-    case EngineKind::kFoNaive: {
-      // n^k quantifier nesting — saturates quickly, as it should.
-      uint64_t vars = 0;
-      for (const QueryGraph& g : plan.branches) vars += g.vars.size();
-      if (!plan.structural()) vars = size;
-      uint64_t cost = 1;
-      for (uint64_t i = 0; i < std::max<uint64_t>(vars, 1); ++i) {
-        cost = SatMul(cost, std::max<uint64_t>(n, 2));
-      }
-      return cost;
-    }
-  }
-  return UINT64_MAX;
+  return Row(kind).cost(plan, stats);
 }
 
 }  // namespace plan

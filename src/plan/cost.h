@@ -24,7 +24,9 @@
 namespace treeq {
 namespace plan {
 
-/// Every physical engine the router can pick. Names (EngineName) match the
+/// Every physical engine the router can pick. cost.cc holds one row per
+/// kind — label, cost formula, route counter — that EngineName,
+/// ParseEngineName, EstimateCost and CountRoute all read. Names match the
 /// engine labels QueryProfile and Plan::route_name() expose.
 enum class EngineKind {
   kXPathSetAtATime,   // xpath.set_at_a_time
@@ -46,6 +48,10 @@ const char* EngineName(EngineKind kind);
 /// "cq.x_property" and "cq.backtracking" (both map to kDichotomy).
 /// std::nullopt for anything else.
 std::optional<EngineKind> ParseEngineName(std::string_view name);
+
+/// Bumps the plan.route.<engine> counter of a routing decision that chose
+/// `kind` (plan::Route calls it once per decision).
+void CountRoute(EngineKind kind);
 
 /// Cheap per-document statistics for the cost formulas. Holds a borrowed
 /// Document pointer for label-frequency lookups; must not outlive it.

@@ -8,47 +8,6 @@
 namespace treeq {
 namespace plan {
 
-namespace {
-
-/// TREEQ_OBS_INC caches one counter per macro site, so each engine's
-/// route counter needs its own literal.
-void CountRouteEngine(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kXPathSetAtATime:
-      TREEQ_OBS_INC("plan.route.xpath_set_at_a_time");
-      break;
-    case EngineKind::kXPathNaive:
-      TREEQ_OBS_INC("plan.route.xpath_naive");
-      break;
-    case EngineKind::kXPathStream:
-      TREEQ_OBS_INC("plan.route.xpath_stream");
-      break;
-    case EngineKind::kTwigStack:
-      TREEQ_OBS_INC("plan.route.cq_twigstack");
-      break;
-    case EngineKind::kStructuralJoins:
-      TREEQ_OBS_INC("plan.route.cq_structural_joins");
-      break;
-    case EngineKind::kYannakakis:
-      TREEQ_OBS_INC("plan.route.cq_yannakakis");
-      break;
-    case EngineKind::kDichotomy:
-      TREEQ_OBS_INC("plan.route.cq_dichotomy");
-      break;
-    case EngineKind::kDatalogTmnf:
-      TREEQ_OBS_INC("plan.route.datalog_tmnf");
-      break;
-    case EngineKind::kFoCorollary52:
-      TREEQ_OBS_INC("plan.route.fo_corollary52");
-      break;
-    case EngineKind::kFoNaive:
-      TREEQ_OBS_INC("plan.route.fo_naive");
-      break;
-  }
-}
-
-}  // namespace
-
 std::vector<RouteCandidate> ScoreRoute(const LogicalPlan& plan,
                                        const std::vector<EngineKind>& eligible,
                                        EngineKind native,
@@ -99,7 +58,7 @@ RouteDecision Route(const LogicalPlan& plan,
     decision.rationale += ")";
   }
   TREEQ_OBS_INC("plan.route.decisions");
-  CountRouteEngine(decision.chosen);
+  CountRoute(decision.chosen);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   TREEQ_OBS_HISTOGRAM(
       "plan.cost_ns",

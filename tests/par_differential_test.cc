@@ -430,13 +430,14 @@ TEST(ParEngineTest, SubmitParallelismMatchesSerial) {
   }
 }
 
-// Forcing the classifier floor down via Plan::Execute with the executor's
-// own task runner: the parallel path must run (partitions > 0) and still
-// agree bit-for-bit.
+// A document big enough for the production classifier floor
+// (kParallelMinEstimatedVisits) and per-step floor (ParOptions::min_context)
+// via Plan::Execute with the executor's own task runner: the parallel path
+// must run (partitions > 0) and still agree bit-for-bit.
 TEST(ParEngineTest, ExecuteOnExecutorRunnerReportsPartitions) {
   Rng rng(22);
   RandomTreeOptions opts;
-  opts.num_nodes = 1500;
+  opts.num_nodes = 20000;
   opts.attach_window = 8;
   opts.alphabet = {"a", "b"};
   DocumentPtr doc = MakeDocumentWithOrders(RandomTree(&rng, opts));
@@ -449,8 +450,6 @@ TEST(ParEngineTest, ExecuteOnExecutorRunnerReportsPartitions) {
   engine::ExecuteOptions exec_options;
   exec_options.parallelism = 8;
   exec_options.runner = &executor.task_runner();
-  exec_options.parallel_min_visits = 1;  // force the parallel route
-  exec_options.parallel_min_context = 1;
   Result<QueryResult> got = plan.value()->Execute(
       *doc, ExecContext::Unbounded(), exec_options);
   ASSERT_TRUE(got.ok()) << got.status().ToString();

@@ -131,6 +131,23 @@ TEST(PlanExplainTest, RoutingGolden) {
   EXPECT_EQ(plan->ExplainRouting(*doc),
             "routing n=62: xpath.set_at_a_time=252* cq.yannakakis=282 "
             "xpath.stream=372 datalog.tmnf=620 xpath.naive=19220");
+  // A Boolean plan reaches the sentence engines (cq.dichotomy,
+  // fo.corollary52, fo.naive); a k-ary plan with every variable labeled
+  // reaches the twig engines (cq.twigstack, cq.structural_joins).
+  PlanPtr boolean =
+      Plan::Compile(Language::kCq,
+                    "Q() :- Child+(x, y), Lab_product(x), Lab_rating1(y).")
+          .value();
+  EXPECT_EQ(boolean->ExplainRouting(*doc),
+            "routing n=62: cq.dichotomy=20* cq.yannakakis=33 "
+            "fo.corollary52=372 fo.naive=3844");
+  PlanPtr kary = Plan::Compile(Language::kCq,
+                               "Q(p, n) :- Child(p, n), Lab_product(p), "
+                               "Lab_name(n).")
+                     .value();
+  EXPECT_EQ(kary->ExplainRouting(*doc),
+            "routing n=62: cq.yannakakis=33* cq.twigstack=41 "
+            "cq.structural_joins=61");
 }
 
 }  // namespace

@@ -17,10 +17,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "obs/stats.h"
 #include "plan/cost.h"
+#include "plan/route.h"
 #include "tree/generator.h"
 #include "util/random.h"
 
@@ -84,6 +88,14 @@ const std::vector<CorpusEntry>& Corpus() {
          "Lab_rating5(y))"},
         {Language::kCq,
          "Q() :- Child+(x, y), Lab_product(x), Lab_rating5(y)."}}},
+      // The CQ repeats one edge as Child and Parent; canonicalization
+      // folds it into a tree, but the CQ's own query (the form its
+      // engines run on) is not one, so cq.yannakakis is not eligible.
+      {"boolean-repeated-edge",
+       {{Language::kFo,
+         "exists x . exists y . (Child(x, y) and Lab_product(x))"},
+        {Language::kCq,
+         "Q() :- Child(x, y), Parent(y, x), Lab_product(x)."}}},
       {"binary-tuples",
        {{Language::kCq,
          "Q(p, r) :- Child+(w, p), Child+(p, r), Lab_product(p), "
@@ -294,6 +306,80 @@ TEST(PlanRouteDifferentialTest, ResultsCarryRouteRationale) {
   QueryResult forced = plan->Execute(*doc, unbounded, options).value();
   EXPECT_EQ(forced.route_rationale, "forced: xpath.naive");
   EXPECT_EQ(std::string(forced.engine), "xpath.naive");
+}
+
+// The engine table (plan/cost.cc): one row per EngineKind, whose label
+// round-trips through ParseEngineName and names its route counter.
+constexpr plan::EngineKind kAllEngines[] = {
+    plan::EngineKind::kXPathSetAtATime, plan::EngineKind::kXPathNaive,
+    plan::EngineKind::kXPathStream,     plan::EngineKind::kTwigStack,
+    plan::EngineKind::kStructuralJoins, plan::EngineKind::kYannakakis,
+    plan::EngineKind::kDichotomy,       plan::EngineKind::kDatalogTmnf,
+    plan::EngineKind::kFoCorollary52,   plan::EngineKind::kFoNaive,
+};
+
+TEST(EngineTableTest, LabelsAreDistinctAndRoundTrip) {
+  std::set<std::string> labels;
+  for (plan::EngineKind kind : kAllEngines) {
+    const std::string label = plan::EngineName(kind);
+    EXPECT_EQ(plan::ParseEngineName(label), kind) << label;
+    EXPECT_TRUE(labels.insert(label).second) << "duplicate label " << label;
+  }
+  EXPECT_EQ(plan::ParseEngineName("cq.x_property"),
+            plan::EngineKind::kDichotomy);
+  EXPECT_EQ(plan::ParseEngineName("cq.backtracking"),
+            plan::EngineKind::kDichotomy);
+}
+
+#ifndef TREEQ_OBS_DISABLED
+TEST(EngineTableTest, RouteCountsTheChosenEnginesCounter) {
+  DocumentPtr doc = Catalog(1, 3);
+  const plan::DocStats stats = plan::DocStats::For(*doc);
+  PlanPtr compiled = Plan::Compile(Language::kXPath, "//name").value();
+  obs::StatsRegistry& registry = obs::StatsRegistry::Global();
+  for (plan::EngineKind kind : kAllEngines) {
+    std::string leaf = plan::EngineName(kind);
+    std::replace(leaf.begin(), leaf.end(), '.', '_');
+    const std::string counter = "plan.route." + leaf;
+    const uint64_t before = registry.CounterValue(counter);
+    plan::RouteDecision decision =
+        plan::Route(compiled->ir(), {kind}, kind, stats);
+    EXPECT_EQ(decision.chosen, kind);
+    EXPECT_EQ(registry.CounterValue(counter), before + 1) << counter;
+  }
+}
+#endif  // TREEQ_OBS_DISABLED
+
+// A forced cq.dichotomy reports its canonical label on a plan from
+// another language, and on a CQ plan the path the dichotomy took over
+// the CQ's own query (the NP-hard spelling's IR is a chain, which the
+// X-property path would take).
+TEST(EngineTableTest, ForcedDichotomyReportsItsLabelPerLanguage) {
+  DocumentPtr doc = Catalog(1, 3);
+  ExecContext unbounded;
+  ExecuteOptions options;
+  options.force_route = "cq.dichotomy";
+  struct Case {
+    Language language;
+    const char* text;
+    const char* engine;
+  };
+  const Case cases[] = {
+      {Language::kFo,
+       "exists x . exists y . (Child+(x, y) and Lab_product(x) and "
+       "Lab_rating5(y))",
+       "cq.dichotomy"},
+      {Language::kCq, "Q() :- Child+(x, y), Lab_product(x), Lab_rating5(y).",
+       "cq.x_property"},
+      {Language::kCq, "Q() :- Child(x, y), Child(y, z), Child+(x, z).",
+       "cq.backtracking"},
+  };
+  for (const Case& c : cases) {
+    PlanPtr compiled = Plan::Compile(c.language, c.text).value();
+    Result<QueryResult> forced = compiled->Execute(*doc, unbounded, options);
+    ASSERT_TRUE(forced.ok()) << c.text << ": " << forced.status().ToString();
+    EXPECT_EQ(std::string(forced->engine), c.engine) << c.text;
+  }
 }
 
 }  // namespace
