@@ -24,10 +24,15 @@
 //                             far above 1 (gated <= 10);
 //   route_regret_geomean      the geometric mean over the rows.
 //
-// Per-query rows record the wall times and which engine the router chose
-// (engine_index is the position in the plan's EligibleEngines() list, 0 =
-// native), so a regression in one query's routing is visible in the JSON
-// diff, not just the aggregate.
+// The regret rows run at two catalog sizes: the 120-product corpus the
+// other two gates use, and one 1,200-product catalog (~13k nodes), where a
+// super-linear pick shows as a large regret. xpath.naive is n^2, so the
+// naive and native gates stay on the small corpus.
+//
+// Per-query rows record the wall times, the catalog size (`products`) and
+// which engine the router chose (engine_index is the position in the
+// plan's EligibleEngines() list, 0 = native), so a regression in one
+// query's routing is visible in the JSON diff, not just the aggregate.
 
 #include <benchmark/benchmark.h>
 
@@ -93,6 +98,7 @@ constexpr LanguageQuery kOtherLanguageQueries[] = {
 constexpr int kNumDocuments = 4;
 constexpr int kProductsPerDocument = 120;
 constexpr int kRepeats = 5;  // timed evaluations per (query, doc, mode)
+constexpr int kLargeProducts = 1200;  // the regret-only large catalog
 
 uint64_t NowNs() {
   return static_cast<uint64_t>(
@@ -101,11 +107,12 @@ uint64_t NowNs() {
           .count());
 }
 
-void BuildCorpus(DocumentStore* store) {
-  for (int d = 0; d < kNumDocuments; ++d) {
+void BuildCorpus(DocumentStore* store, int num_documents = kNumDocuments,
+                 int products = kProductsPerDocument) {
+  for (int d = 0; d < num_documents; ++d) {
     treeq::Rng rng(static_cast<uint64_t>(2000 + d));
     treeq::CatalogOptions opts;
-    opts.num_products = kProductsPerDocument;
+    opts.num_products = products;
     auto added = store->Add("catalog" + std::to_string(d),
                             treeq::CatalogDocument(&rng, opts));
     TREEQ_CHECK(added.ok());
@@ -204,15 +211,55 @@ int EngineIndex(const PlanPtr& plan, const std::string& engine) {
   return -1;
 }
 
+/// One regret-only row (no naive or native comparison) for `query` over
+/// `store`, a corpus of `products`-product catalogs: printed, tallied, and
+/// recorded with the catalog size.
+void RegretOnlyRow(const LanguageQuery& query, int query_index,
+                   const DocumentStore& store, int products,
+                   RegretTally* regret, treeq::benchjson::Record* record) {
+  auto compiled = Plan::Compile(query.language, query.text);
+  TREEQ_CHECK(compiled.ok());
+  PlanPtr plan = std::move(compiled).value();
+  std::string routed_engine;
+  (void)MeasureWallNs(plan, store, "", &routed_engine);  // warm-up
+  const RegretRow regret_row = MeasureRegret(plan, store);
+  const double row_regret =
+      regret->Add(regret_row.routed_ns, regret_row.best_ns);
+  const int engine_index = EngineIndex(plan, routed_engine);
+  TREEQ_CHECK(engine_index >= 0);
+
+  std::printf("%5d products  %-8s q%d routed=%-20s %8.2f ms   best %-20s "
+              "%8.2f ms   regret %.2f\n",
+              products, treeq::LanguageName(query.language), query_index,
+              routed_engine.c_str(),
+              static_cast<double>(regret_row.routed_ns) / 1e6,
+              regret_row.best_engine.c_str(),
+              static_cast<double>(regret_row.best_ns) / 1e6, row_regret);
+  if (record != nullptr) {
+    record->AddRow(
+        {{"query_index", static_cast<double>(query_index)},
+         {"products", static_cast<double>(products)},
+         {"engine_index", static_cast<double>(engine_index)},
+         {"eligible_engines",
+          static_cast<double>(plan->EligibleEngines().size())},
+         {"regret_routed_wall_ns", static_cast<double>(regret_row.routed_ns)},
+         {"best_forced_wall_ns", static_cast<double>(regret_row.best_ns)},
+         {"regret", row_regret}});
+  }
+}
+
 void RunRoutingBench(treeq::benchjson::Record* record) {
   DocumentStore store;
   BuildCorpus(&store);
+  DocumentStore large;
+  BuildCorpus(&large, /*num_documents=*/1, kLargeProducts);
 
   std::printf("=== cost-based router vs forced engines ===\n");
   std::printf("corpus: %d catalog documents, %d products each; "
-              "%d evaluations per (query, mode)\n\n",
+              "%d evaluations per (query, mode); regret rows also on one "
+              "%d-product catalog\n\n",
               kNumDocuments, kProductsPerDocument,
-              kRepeats * kNumDocuments);
+              kRepeats * kNumDocuments, kLargeProducts);
 
   uint64_t routed_total_ns = 0;
   uint64_t naive_total_ns = 0;
@@ -256,6 +303,7 @@ void RunRoutingBench(treeq::benchjson::Record* record) {
     if (record != nullptr) {
       record->AddRow(
           {{"query_index", static_cast<double>(q)},
+           {"products", static_cast<double>(kProductsPerDocument)},
            {"engine_index", static_cast<double>(engine_index)},
            {"eligible_engines",
             static_cast<double>(plan->EligibleEngines().size())},
@@ -271,36 +319,21 @@ void RunRoutingBench(treeq::benchjson::Record* record) {
     }
   }
 
-  for (size_t q = 0; q < std::size(kOtherLanguageQueries); ++q) {
-    const LanguageQuery& query = kOtherLanguageQueries[q];
-    auto compiled = Plan::Compile(query.language, query.text);
-    TREEQ_CHECK(compiled.ok());
-    PlanPtr plan = std::move(compiled).value();
-    std::string routed_engine;
-    (void)MeasureWallNs(plan, store, "", &routed_engine);  // warm-up
-    const RegretRow regret_row = MeasureRegret(plan, store);
-    const double row_regret =
-        regret.Add(regret_row.routed_ns, regret_row.best_ns);
-    const int engine_index = EngineIndex(plan, routed_engine);
-    TREEQ_CHECK(engine_index >= 0);
-
-    std::printf("%-8s q%zu routed=%-20s %8.2f ms   best %-20s %8.2f ms   "
-                "regret %.2f\n",
-                treeq::LanguageName(query.language), q, routed_engine.c_str(),
-                static_cast<double>(regret_row.routed_ns) / 1e6,
-                regret_row.best_engine.c_str(),
-                static_cast<double>(regret_row.best_ns) / 1e6, row_regret);
-    if (record != nullptr) {
-      record->AddRow(
-          {{"query_index", static_cast<double>(kNumQueries + q)},
-           {"engine_index", static_cast<double>(engine_index)},
-           {"eligible_engines",
-            static_cast<double>(plan->EligibleEngines().size())},
-           {"regret_routed_wall_ns",
-            static_cast<double>(regret_row.routed_ns)},
-           {"best_forced_wall_ns", static_cast<double>(regret_row.best_ns)},
-           {"regret", row_regret}});
-    }
+  // The XPath queries' small-corpus regret rows came from the loop above;
+  // add the other spellings on the small corpus, then all nine queries on
+  // the large catalog.
+  std::vector<LanguageQuery> all_queries;
+  for (const char* text : kQueries) {
+    all_queries.push_back({Language::kXPath, text});
+  }
+  all_queries.insert(all_queries.end(), std::begin(kOtherLanguageQueries),
+                     std::end(kOtherLanguageQueries));
+  for (int q = kNumQueries; q < static_cast<int>(all_queries.size()); ++q) {
+    RegretOnlyRow(all_queries[q], q, store, kProductsPerDocument, &regret,
+                  record);
+  }
+  for (int q = 0; q < static_cast<int>(all_queries.size()); ++q) {
+    RegretOnlyRow(all_queries[q], q, large, kLargeProducts, &regret, record);
   }
 
   const double router_vs_naive_speedup =
@@ -318,7 +351,7 @@ void RunRoutingBench(treeq::benchjson::Record* record) {
   std::printf("router vs pinned-native: %.2f (>= ~1 when the router only "
               "ever improves on the native engine)\n",
               router_overhead_ratio);
-  std::printf("route regret over %d queries: max %.2f, geomean %.2f\n",
+  std::printf("route regret over %d rows: max %.2f, geomean %.2f\n",
               regret.rows, regret.max, regret.geomean());
 
   // The routed path must never lose badly to always-native: routing picks
@@ -330,6 +363,7 @@ void RunRoutingBench(treeq::benchjson::Record* record) {
   if (record != nullptr) {
     record->SetNumber("num_documents", kNumDocuments);
     record->SetNumber("products_per_document", kProductsPerDocument);
+    record->SetNumber("large_catalog_products", kLargeProducts);
     record->SetNumber("workload_queries", kNumQueries);
     record->SetNumber("evals_per_mode", kRepeats * kNumDocuments);
     record->SetNumber("routed_total_ns",

@@ -96,6 +96,27 @@ cache::ResultKey MakeResultKey(const Plan& plan, uint64_t doc_epoch) {
   return key;
 }
 
+#ifndef TREEQ_OBS_DISABLED
+/// The request-identity fields every flight-recorder profile carries,
+/// whether the request was served from the result cache, rejected at the
+/// queue, or run by a worker; each path fills in the rest.
+obs::QueryProfile StartProfile(uint64_t id, const Plan& plan,
+                               const Document& doc, std::string engine,
+                               bool plan_cache_hit) {
+  obs::QueryProfile profile;
+  profile.id = id;
+  profile.language = LanguageName(plan.language());
+  profile.query_hash = obs::HashQueryText(plan.text());
+  profile.query = plan.text().substr(0, obs::kMaxQueryChars);
+  profile.document = doc.name();
+  profile.engine = std::move(engine);
+  profile.explain = plan.Explain();
+  profile.canonical_hash = plan.canonical_hash().ToHex();
+  profile.cache_hit = plan_cache_hit;
+  return profile;
+}
+#endif
+
 }  // namespace
 
 Executor::Executor() : Executor(Options()) {}
@@ -171,21 +192,13 @@ Submission Executor::SubmitWithCollapse(QueryRequest request, bool collapse) {
         (void)task.context->Charge(1);
 #ifndef TREEQ_OBS_DISABLED
         if (obs::FlightRecorder::Global().enabled()) {
-          const Plan& plan = *task.plan;
-          obs::QueryProfile profile;
-          profile.id = obs::NextQueryId();
-          profile.language = LanguageName(plan.language());
-          profile.query_hash = obs::HashQueryText(plan.text());
-          profile.query = plan.text().substr(0, obs::kMaxQueryChars);
-          profile.document = task.document->name();
-          profile.engine = "cache.result";
-          profile.explain = plan.Explain();
-          profile.canonical_hash = plan.canonical_hash().ToHex();
-          profile.cache_hit = task.cache_hit;
+          obs::QueryProfile profile =
+              StartProfile(obs::NextQueryId(), *task.plan, *task.document,
+                           "cache.result", task.cache_hit);
           profile.result_cache_hit = true;
           profile.visits = 1;
           profile.estimated_visits =
-              plan.EstimatedVisits(*task.document);
+              task.plan->EstimatedVisits(*task.document);
           TREEQ_OBS_FLIGHT_RECORD(std::move(profile));
         }
 #endif
@@ -282,16 +295,9 @@ Submission Executor::SubmitTask(Task task, bool reject_when_full) {
     // recorder is most useful.
     if (profile_plan != nullptr && profile_doc != nullptr &&
         obs::FlightRecorder::Global().enabled()) {
-      obs::QueryProfile profile;
-      profile.id = profile_id;
-      profile.language = LanguageName(profile_plan->language());
-      profile.query_hash = obs::HashQueryText(profile_plan->text());
-      profile.query = profile_plan->text().substr(0, obs::kMaxQueryChars);
-      profile.document = profile_doc->name();
-      profile.engine = "rejected";
-      profile.explain = profile_plan->Explain();
-      profile.canonical_hash = profile_plan->canonical_hash().ToHex();
-      profile.cache_hit = profile_cache_hit;
+      obs::QueryProfile profile =
+          StartProfile(profile_id, *profile_plan, *profile_doc, "rejected",
+                       profile_cache_hit);
       profile.ok = false;
       profile.status = StatusCodeName(status.code());
       TREEQ_OBS_FLIGHT_RECORD(std::move(profile));
@@ -432,18 +438,11 @@ void Executor::WorkerLoop() {
 #ifndef TREEQ_OBS_DISABLED
     if (profiling) {
       const Plan& plan = *task->plan;
-      obs::QueryProfile profile;
-      profile.id = task->profile_id;
-      profile.language = LanguageName(plan.language());
-      profile.query_hash = obs::HashQueryText(plan.text());
-      profile.query = plan.text().substr(0, obs::kMaxQueryChars);
-      profile.document = task->document->name();
-      profile.engine =
-          result.ok() ? result.value().engine : plan.route_name();
-      profile.explain = plan.Explain();
+      obs::QueryProfile profile = StartProfile(
+          task->profile_id, plan, *task->document,
+          result.ok() ? result.value().engine : plan.route_name(),
+          task->cache_hit);
       if (result.ok()) profile.route_rationale = result.value().route_rationale;
-      profile.canonical_hash = plan.canonical_hash().ToHex();
-      profile.cache_hit = task->cache_hit;
       profile.degraded = result.ok() && result.value().degraded;
       if (result.ok()) {
         profile.partitions = result.value().partitions;

@@ -162,10 +162,6 @@ void CountRoute(EngineKind kind) { Row(kind).count_route(); }
 DocStats DocStats::For(const Document& doc) {
   DocStats stats;
   stats.nodes = static_cast<uint64_t>(doc.num_nodes());
-  const auto& depth = doc.orders().depth;
-  for (int d : depth) {
-    stats.depth = std::max(stats.depth, static_cast<uint64_t>(d));
-  }
   stats.doc = &doc;
   return stats;
 }

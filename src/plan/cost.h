@@ -10,8 +10,8 @@
 
 /// \file cost.h
 /// The cost model behind the engine router (plan/route.h): per-engine
-/// cost formulas fed by cheap Document statistics (node count, depth,
-/// label frequencies from the LabelIndex). The Theorem 6.8 dichotomy
+/// cost formulas fed by cheap Document statistics (node count and label
+/// frequencies from the LabelIndex). The Theorem 6.8 dichotomy
 /// classifier is a term of these formulas, and stream degradation is one
 /// comparison of the chosen engine's cost against the remaining visit
 /// budget (engine/plan.cc).
@@ -57,7 +57,6 @@ void CountRoute(EngineKind kind);
 /// Document pointer for label-frequency lookups; must not outlive it.
 struct DocStats {
   uint64_t nodes = 0;
-  uint64_t depth = 0;
   const Document* doc = nullptr;
 
   static DocStats For(const Document& doc);

@@ -11,7 +11,7 @@
 
 /// \file partition.h
 /// `TreePartition`: the document decomposition behind intra-query
-/// parallelism (tree/par_axes.h, storage/par_join.h, cq/par_twig.h).
+/// parallelism (tree/par_axes.h).
 ///
 /// The pre order is dense — every pre rank in [0, n) names exactly one
 /// node — so cutting pre-rank space into K contiguous ranges yields K

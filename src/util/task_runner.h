@@ -8,11 +8,10 @@
 #include <vector>
 
 /// \file task_runner.h
-/// The fork-join seam between the parallel kernels (tree/par_axes.h,
-/// storage/par_join.h, cq/par_twig.h) and whatever executes their partition
-/// tasks. The kernels only ever need one operation — "run these closures,
-/// all of them, and return when every one has finished" — so that is the
-/// whole interface. The engine plugs in a TaskGroupRunner backed by its
+/// The fork-join seam between the parallel axis kernel (tree/par_axes.h)
+/// and whatever executes its partition tasks. The kernel only ever needs
+/// one operation — "run these closures, all of them, and return when every
+/// one has finished" — so that is the whole interface. The engine plugs in a TaskGroupRunner backed by its
 /// worker pool (engine/task_group.h, with help-running so nested tasks
 /// cannot deadlock the bounded queue); tests and benches use the two
 /// trivial implementations below.
