@@ -40,7 +40,7 @@ using treeq::engine::Plan;
 using treeq::engine::PlanCache;
 using treeq::engine::PlanPtr;
 using treeq::engine::QueryResult;
-using treeq::engine::Request;
+using treeq::engine::QueryRequest;
 
 struct WorkloadQuery {
   Language language;
@@ -96,13 +96,13 @@ std::vector<PlanPtr> CompileWorkload() {
   return plans;
 }
 
-std::vector<Request> BuildBatch(const DocumentStore& store,
-                                const std::vector<PlanPtr>& plans) {
-  std::vector<Request> requests;
+std::vector<QueryRequest> BuildBatch(const DocumentStore& store,
+                                     const std::vector<PlanPtr>& plans) {
+  std::vector<QueryRequest> requests;
   for (int rep = 0; rep < kBatchRepeats; ++rep) {
     for (const std::string& name : store.Names()) {
       for (const PlanPtr& plan : plans) {
-        requests.push_back(Request{plan, store.Get(name).value()});
+        requests.push_back(QueryRequest{plan, store.Get(name).value(), {}});
       }
     }
   }
@@ -110,7 +110,7 @@ std::vector<Request> BuildBatch(const DocumentStore& store,
 }
 
 /// One timed RunBatch on a fresh pool of `threads` workers. Returns qps.
-double MeasureQps(const std::vector<Request>& batch, int threads,
+double MeasureQps(const std::vector<QueryRequest>& batch, int threads,
                   uint64_t* wall_ns_out) {
   Executor exec(Executor::Options{.num_workers = threads,
                                   .queue_capacity = 64});
@@ -127,7 +127,7 @@ void RunThroughputSweep(treeq::benchjson::Record* record) {
   DocumentStore store;
   BuildCorpus(&store);
   std::vector<PlanPtr> plans = CompileWorkload();
-  std::vector<Request> batch = BuildBatch(store, plans);
+  std::vector<QueryRequest> batch = BuildBatch(store, plans);
 
   std::printf("=== engine throughput: qps vs worker threads ===\n");
   std::printf("corpus: %d catalog documents, %d products each\n",
@@ -210,7 +210,7 @@ void RunThroughputSweep(treeq::benchjson::Record* record) {
     uint64_t start = NowNs();
     std::vector<treeq::engine::Submission> submissions;
     submissions.reserve(batch.size());
-    for (const Request& r : batch) {
+    for (const QueryRequest& r : batch) {
       submissions.push_back(exec.Submit({r.plan, r.document, opts}));
     }
     for (auto& s : submissions) TREEQ_CHECK(s.future.get().ok());
@@ -344,11 +344,11 @@ void RunThroughputSweep(treeq::benchjson::Record* record) {
   double cache_on_qps = 0;
   uint64_t result_cache_hits = 0;
   {
-    std::vector<Request> mix;
+    std::vector<QueryRequest> mix;
     for (int rep = 0; rep < 10; ++rep) {
       for (const std::string& name : store.Names()) {
         for (const PlanPtr& plan : plans) {
-          mix.push_back(Request{plan, store.Get(name).value()});
+          mix.push_back(QueryRequest{plan, store.Get(name).value(), {}});
         }
       }
     }
@@ -414,14 +414,14 @@ void RunThroughputSweep(treeq::benchjson::Record* record) {
   // Sequential submit-and-wait, so each request sees every earlier insert
   // (a RunBatch looks everything up before the first result lands, which
   // would report zero intra-batch hits regardless of keying).
-  auto measure_hit_rate = [&](const std::vector<Request>& mix,
+  auto measure_hit_rate = [&](const std::vector<QueryRequest>& mix,
                               double* qps_out) {
     treeq::cache::ResultCache rc;
     Executor exec(Executor::Options{.num_workers = 1,
                                     .queue_capacity = 64,
                                     .result_cache = &rc});
     uint64_t start = NowNs();
-    for (const Request& r : mix) {
+    for (const QueryRequest& r : mix) {
       TREEQ_CHECK(exec.Submit({r.plan, r.document, {}}).future.get().ok());
     }
     uint64_t wall_ns = NowNs() - start;
@@ -432,14 +432,15 @@ void RunThroughputSweep(treeq::benchjson::Record* record) {
   };
 
   constexpr int kAliasRepeats = 10;
-  std::vector<Request> cross_mix, same_mix;
+  std::vector<QueryRequest> cross_mix, same_mix;
   for (int rep = 0; rep < kAliasRepeats; ++rep) {
     for (const std::string& name : store.Names()) {
       for (const PlanPtr& plan : alias_plans) {
-        cross_mix.push_back(Request{plan, store.Get(name).value()});
+        cross_mix.push_back(QueryRequest{plan, store.Get(name).value(), {}});
       }
       for (int a = 0; a < kNumAliases; ++a) {
-        same_mix.push_back(Request{alias_plans[0], store.Get(name).value()});
+        same_mix.push_back(
+            QueryRequest{alias_plans[0], store.Get(name).value(), {}});
       }
     }
   }
@@ -530,7 +531,7 @@ int WriteMetrics(const std::string& path) {
 void BM_ExecutorBatch(benchmark::State& state) {
   DocumentStore store;
   BuildCorpus(&store);
-  std::vector<Request> batch = BuildBatch(store, CompileWorkload());
+  std::vector<QueryRequest> batch = BuildBatch(store, CompileWorkload());
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Executor exec(

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <unordered_set>
@@ -41,9 +40,7 @@ void CountRequestLanguage(Language language) {
 }
 
 Result<QueryResult> RunOne(const PlanPtr& plan, const DocumentPtr& doc,
-                           const ExecContextPtr& context,
-                           bool allow_degraded, int parallelism,
-                           par::TaskRunner* runner,
+                           const ExecContextPtr& context, bool allow_degraded,
                            cache::EvalCache* eval_cache) {
   if (plan == nullptr) {
     return Status::InvalidArgument("null plan submitted");
@@ -58,10 +55,6 @@ Result<QueryResult> RunOne(const PlanPtr& plan, const DocumentPtr& doc,
   CountRequestLanguage(plan->language());
   ExecuteOptions options;
   options.allow_degraded = allow_degraded;
-  if (parallelism >= 2) {
-    options.parallelism = parallelism;
-    options.runner = runner;
-  }
   // Bind the cross-query memo to this document's epoch for the duration of
   // the evaluation; the memo object itself is stateless and cheap.
   std::optional<cache::EvalCache::Memo> memo;
@@ -156,8 +149,6 @@ void Executor::Shutdown() {
   // Close() has had its promise fulfilled.
 }
 
-par::TaskRunner& Executor::task_runner() { return group_runner_; }
-
 Submission Executor::Submit(QueryRequest request) {
   return SubmitWithCollapse(std::move(request), singleflight_);
 }
@@ -168,7 +159,6 @@ Submission Executor::SubmitWithCollapse(QueryRequest request, bool collapse) {
   task.plan = std::move(request.plan);
   task.document = std::move(request.document);
   task.allow_degraded = options.allow_degraded;
-  task.parallelism = options.parallelism;
   task.bypass_cache = options.bypass_cache;
   task.cache_hit = options.plan_cache_hit;
   ExecContext::Limits limits;
@@ -264,8 +254,6 @@ Submission Executor::SubmitTask(Task task, bool reject_when_full) {
   const uint64_t profile_id = task.profile_id;
   const bool profile_cache_hit = task.cache_hit;
 #endif
-  WorkItem item;
-  item.request.emplace(std::move(task));
   bool accepted;
   if (shutdown_.load(std::memory_order_acquire)) {
     accepted = false;
@@ -274,9 +262,9 @@ Submission Executor::SubmitTask(Task task, bool reject_when_full) {
     // full queue — same rejection counter, same Unavailable contract.
     accepted = false;
   } else if (reject_when_full) {
-    accepted = queue_.TryPush(std::move(item));
+    accepted = queue_.TryPush(std::move(task));
   } else {
-    accepted = queue_.Push(std::move(item));
+    accepted = queue_.Push(std::move(task));
   }
   if (!accepted) {
     // The task (with the promise) was consumed either way; rebuild a
@@ -337,13 +325,10 @@ std::vector<Submission> Executor::SubmitBatch(
 }
 
 std::vector<Result<QueryResult>> Executor::RunBatch(
-    std::vector<Request> requests) {
+    std::vector<QueryRequest> requests) {
   std::vector<std::future<Result<QueryResult>>> futures;
   futures.reserve(requests.size());
-  for (Request& r : requests) {
-    QueryRequest request;
-    request.plan = std::move(r.plan);
-    request.document = std::move(r.document);
+  for (QueryRequest& request : requests) {
     futures.push_back(Submit(std::move(request)).future);
   }
   std::vector<Result<QueryResult>> results;
@@ -370,17 +355,7 @@ void Executor::WorkerLoop() {
   obs::Counter* const eval_hits =
       obs::StatsRegistry::Global().GetCounter("cache.eval.hits");
 #endif
-  while (std::optional<WorkItem> item = queue_.Pop()) {
-    if (item->is_child()) {
-      // A forked child task of another request's fork-join group
-      // (RunChildren). The child flushes the shadow itself before
-      // signaling its group, so the forking request's "future ready
-      // implies stats visible" contract holds even when children run on
-      // foreign workers.
-      item->child();
-      continue;
-    }
-    std::optional<Task>& task = item->request;
+  while (std::optional<Task> task = queue_.Pop()) {
     auto start = std::chrono::steady_clock::now();
 #ifndef TREEQ_OBS_DISABLED
     // The shadow was flushed at the previous request boundary, but snapshot
@@ -415,7 +390,7 @@ void Executor::WorkerLoop() {
         return injected;
       }
       return RunOne(task->plan, task->document, task->context,
-                    task->allow_degraded, task->parallelism, &group_runner_,
+                    task->allow_degraded,
                     task->bypass_cache ? nullptr : eval_cache_);
     }();
     // Publish a reusable outcome before anyone can observe the future: ok
@@ -444,11 +419,6 @@ void Executor::WorkerLoop() {
           task->cache_hit);
       if (result.ok()) profile.route_rationale = result.value().route_rationale;
       profile.degraded = result.ok() && result.value().degraded;
-      if (result.ok()) {
-        profile.partitions = result.value().partitions;
-        profile.parallel_ns = result.value().parallel_ns;
-        profile.merge_ns = result.value().merge_ns;
-      }
       profile.ok = result.ok();
       profile.status = StatusCodeName(result.status().code());
       profile.queue_wait_ns = queue_wait_ns;
@@ -478,70 +448,6 @@ void Executor::WorkerLoop() {
       inflight_.Complete(*task->result_key, result);
     }
     task->promise.set_value(std::move(result));
-  }
-}
-
-void Executor::RunChildren(std::vector<std::function<void()>> tasks) {
-  if (tasks.empty()) return;
-  struct Group {
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t pending = 0;
-  };
-  auto group = std::make_shared<Group>();
-  group->pending = tasks.size();
-  auto wrap = [&group](std::function<void()> task) {
-    return [group, task = std::move(task)] {
-      task();
-      // Make the child's buffered counter deltas globally visible before
-      // the forking request can observe completion, so the request-level
-      // "future ready implies stats visible" contract survives children
-      // running on foreign workers.
-      if (obs::ShadowCounters* shadow = obs::ShadowCounters::Current()) {
-        shadow->Flush();
-      }
-      std::lock_guard<std::mutex> lock(group->mu);
-      if (--group->pending == 0) group->cv.notify_all();
-    };
-  };
-  // Queue all but the first child AHEAD of pending requests (children are
-  // bounded by the fork degree, so jumping the capacity bound is safe) and
-  // run the first on this thread. A front-push only fails when the queue
-  // closed mid-shutdown; then the child runs inline — completion never
-  // depends on the pool.
-  std::function<void()> first = wrap(std::move(tasks[0]));
-  for (size_t i = 1; i < tasks.size(); ++i) {
-    std::function<void()> child = wrap(std::move(tasks[i]));
-    WorkItem item;
-    item.child = child;
-    // An injected scheduling failure exercises the same fallback as a
-    // closed queue: the child runs inline on the forking thread, so
-    // fork-join completion never depends on the pool.
-    if (TREEQ_FAULT_FIRED("engine.child.push") ||
-        !queue_.TryPushFront(std::move(item))) {
-      child();
-    }
-  }
-  first();
-  // Help-run queued children — ours or another group's, both keep the
-  // system draining — until this group completes. The front-children
-  // invariant makes the blocking step safe: TryPopIf failing means no
-  // child tasks are queued anywhere, so every child of this group is
-  // already running on some worker, and that worker will signal the cv.
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(group->mu);
-      if (group->pending == 0) return;
-    }
-    std::optional<WorkItem> item =
-        queue_.TryPopIf([](const WorkItem& w) { return w.is_child(); });
-    if (item.has_value()) {
-      item->child();
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(group->mu);
-    group->cv.wait(lock, [&group] { return group->pending == 0; });
-    return;
   }
 }
 

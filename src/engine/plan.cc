@@ -411,27 +411,6 @@ Result<QueryResult> Plan::ExecuteEngine(plan::EngineKind kind,
   switch (kind) {
     // Node engines: each evaluates one node-selecting form to a NodeSet.
     case plan::EngineKind::kXPathSetAtATime: {
-      // Parallel routing: only when asked for, only with a runner to run
-      // the forked tasks, and only when the visit estimate says the query
-      // is big enough to amortize fork/merge overhead. The parallel
-      // evaluator's answer is bit-identical to the serial one.
-      if (options.parallelism >= 2 && options.runner != nullptr &&
-          EstimatedVisits(doc) >= kParallelMinEstimatedVisits) {
-        TREEQ_OBS_INC("engine.parallel_runs");
-        par::ParOptions par_options;
-        par_options.parallelism = options.parallelism;
-        par_options.runner = options.runner;
-        par::ParStats par_stats;
-        TREEQ_ASSIGN_OR_RETURN(
-            NodeSet nodes,
-            xpath::EvalQueryFromRootParallel(doc, *query_.xpath, exec,
-                                             par_options, &par_stats));
-        out.partitions = par_stats.partitions;
-        out.parallel_ns = par_stats.parallel_ns;
-        out.merge_ns = par_stats.merge_ns;
-        out.value.emplace<NodeSet>(std::move(nodes));
-        return out;
-      }
       TREEQ_ASSIGN_OR_RETURN(
           NodeSet nodes, xpath::EvalQueryFromRoot(doc, *query_.xpath, exec,
                                                   options.axis_memo));

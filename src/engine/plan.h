@@ -16,7 +16,6 @@
 #include "tree/document.h"
 #include "util/exec_context.h"
 #include "util/status.h"
-#include "util/task_runner.h"
 
 /// \file plan.h
 /// A `Plan` is a query parsed, validated, and lowered once, then executable
@@ -59,36 +58,17 @@ using PlanPtr = std::shared_ptr<const Plan>;
 /// treeq::engine for the engine's callers.
 using ::treeq::QueryResult;
 
-/// Estimated-visits floor below which Execute keeps an XPath plan serial
-/// even when parallelism is requested: a query too small to amortize the
-/// fork/merge overhead of the partition-parallel kernels.
-inline constexpr uint64_t kParallelMinEstimatedVisits = 1 << 16;
-
 /// Per-execution knobs for Plan::Execute. Default-constructed options run
-/// the routed engine serially, without degradation.
+/// the routed engine without degradation.
 struct ExecuteOptions {
   /// Graceful degradation under a budget (see Execute).
   bool allow_degraded = false;
 
-  /// Intra-query parallelism degree. 0 (or 1) keeps the evaluation serial;
-  /// >= 2 lets a set-at-a-time XPath run whose EstimatedVisits(doc) reaches
-  /// kParallelMinEstimatedVisits fork its axis-image steps across that many
-  /// subtree partitions on `runner`. Ignored (the run stays serial) when
-  /// `runner` is null.
-  int parallelism = 0;
-
-  /// Who runs forked partition tasks. The Executor passes its own
-  /// fork-join runner (engine/task_group.h); standalone callers can pass a
-  /// par::ThreadPerTaskRunner or par::SerialRunner (util/task_runner.h).
-  par::TaskRunner* runner = nullptr;
-
   /// Cross-query axis-image memo (tree/axes.h; in practice a
   /// cache::EvalCache::Memo bound to the document's epoch). When set, the
-  /// serial XPath route and the k-ary CQ semijoin sweeps consult it per
-  /// axis step and store fresh images back — results stay bit-identical;
-  /// memo hits charge the cheap lookup instead of the saved kernel work.
-  /// The parallel XPath route ignores it (per-partition charge shares and
-  /// whole-set memo entries don't compose).
+  /// XPath route and the k-ary CQ semijoin sweeps consult it per axis
+  /// step and store fresh images back — results stay bit-identical; memo
+  /// hits charge the cheap lookup instead of the saved kernel work.
   AxisImageMemo* axis_memo = nullptr;
 
   /// When non-empty, bypasses the router and runs this engine (a
@@ -126,11 +106,7 @@ class Plan {
   /// xpath.stream is eligible and the routed engine's EstimateCost exceeds
   /// the remaining visit budget, the O(depth * |Q|)-memory streaming
   /// evaluator over the forward rewrite computed at Compile() time answers
-  /// instead, flagged `degraded`. With `options.parallelism` >= 2 and a
-  /// runner, a set-at-a-time XPath run big enough for the classifier
-  /// (kParallelMinEstimatedVisits) evaluates via the partition-parallel
-  /// kernels — same NodeSet, bit for bit — and the result carries
-  /// partitions/parallel_ns/merge_ns attribution.
+  /// instead, flagged `degraded`.
   Result<QueryResult> Execute(
       const Document& doc,
       const ExecContext& exec = ExecContext::Unbounded(),
@@ -162,9 +138,11 @@ class Plan {
   /// conjunctive, rewrites to a forward query, and supports selection).
   bool stream_capable() const { return stream_query_ != nullptr; }
 
-  /// The deterministic work estimate the parallel classifier compares
-  /// against kParallelMinEstimatedVisits: |Q| * (|D| + 1) charge units,
-  /// mirroring the set-at-a-time evaluator's charge schedule.
+  /// The deterministic work estimate |Q| * (|D| + 1) charge units,
+  /// mirroring the set-at-a-time evaluator's charge schedule: the basis
+  /// bounded callers size their visit budgets from. Degradation does not
+  /// read it; it compares the routed engine's plan::EstimateCost with the
+  /// remaining budget (see Execute).
   uint64_t EstimatedVisits(const Document& doc) const;
 
   /// The canonical logical plan (plan/ir.h) this query lowered to, and its
@@ -199,8 +177,7 @@ class Plan {
 
   /// Runs one specific engine on its form. `kind` must be eligible. Arms
   /// group by result shape: node engines, tuple engines (branch union +
-  /// arity shaping), sentence engines (any branch). The set-at-a-time
-  /// XPath arm keeps the parallel gate.
+  /// arity shaping), sentence engines (any branch).
   Result<QueryResult> ExecuteEngine(plan::EngineKind kind,
                                     const Document& doc,
                                     const ExecContext& exec,

@@ -15,8 +15,8 @@
 /// in one of three shapes — a NodeSet for node-selecting languages, a
 /// TupleSet for k-ary CQs, a bool for sentences — and `treeq::QueryResult`
 /// holds exactly one of them in a tagged variant whose accessors check the
-/// tag. Execution metadata (engine route, degradation flag,
-/// parallel-evaluation attribution) rides alongside.
+/// tag. Execution metadata (engine route, degradation flag, route
+/// rationale) rides alongside.
 ///
 /// Both `engine::Plan::Execute` and `engine::Executor::Submit` return this
 /// type.
@@ -44,13 +44,6 @@ struct QueryResult {
   /// the native engine. Forced runs say "forced: <engine>"; cache hits
   /// reuse the stored result's rationale.
   std::string route_rationale;
-
-  /// Parallel-evaluation attribution (zero when the run stayed serial):
-  /// the maximum fork degree of any parallel step, wall time spent inside
-  /// forked kernels, and wall time merging partial results.
-  int partitions = 0;
-  uint64_t parallel_ns = 0;
-  uint64_t merge_ns = 0;
 
   /// The answer itself: a NodeSet (kXPath, kDatalog), a TupleSet (k-ary
   /// kCq), or a bool (Boolean kCq, kFo sentences).

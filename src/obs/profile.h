@@ -73,20 +73,15 @@ struct QueryProfile {
   uint64_t compile_ns = 0;
   uint64_t execute_ns = 0;
 
-  /// Intra-query parallelism attribution (QueryResult pass-through): the
-  /// maximum fork degree of any parallel step, wall time inside forked
-  /// kernels, and wall time merging partials. All zero for serial runs.
-  int partitions = 0;
-  uint64_t parallel_ns = 0;
-  uint64_t merge_ns = 0;
-
   /// Counter deltas attributed to this request (ShadowCounters snapshot
   /// around the evaluation; see DESIGN.md "Per-query observability").
   uint64_t visits = 0;            // ExecContext charge units spent
   uint64_t words_scanned = 0;     // axes.words_scanned delta
   uint64_t label_index_hits = 0;  // labelindex.hits delta
   uint64_t eval_cache_hits = 0;   // cache.eval.hits delta (axis memo)
-  /// Plan::EstimatedVisits(doc) — what the degradation classifier saw.
+  /// Plan::EstimatedVisits(doc): the |Q|·(|D|+1) basis bounded callers
+  /// size their visit budgets from (degradation compares the routed
+  /// engine's plan::EstimateCost with the remaining budget instead).
   uint64_t estimated_visits = 0;
 
   /// Queue wait + compile + execute: the latency the client observed.

@@ -7,8 +7,8 @@
 //     axes_kernel_test input grid. A fingerprint collision or a stale
 //     entry shows up here as a wrong bit.
 //   - 100-seed corpus: random documents and random tree-shaped k-ary CQs
-//     (the par_differential recipe) evaluated via Plan::Execute with an
-//     axis memo, cold and warm, against the memo-free execution; same for
+//     evaluated via Plan::Execute with an axis memo, cold and warm,
+//     against the memo-free execution; same for
 //     a pool of XPath queries through EvalQueryFromRoot's memo overload.
 //   - Engine level: the same corpus served twice through an Executor with
 //     eval + result caches and singleflight on — the second pass is all
@@ -185,9 +185,9 @@ TEST(CacheAxisDifferentialTest, SingletonsStayDistinct) {
 }
 
 // ---------------------------------------------------------------------------
-// 100-seed corpus: random documents, random tree-shaped k-ary CQs (the
-// par_differential recipe), and an XPath query pool — Plan::Execute with
-// an axis memo (cold, then warm) against the memo-free execution.
+// 100-seed corpus: random documents, random tree-shaped k-ary CQs, and an
+// XPath query pool — Plan::Execute with an axis memo (cold, then warm)
+// against the memo-free execution.
 
 const std::vector<std::string> kAlphabet = {"a", "b", "c"};
 

@@ -281,10 +281,10 @@ TEST(ExecutorTest, MixedBatchMatchesSequentialEvaluation) {
                     "exists x . Lab_price(x)").value(),
   };
 
-  std::vector<Request> requests;
+  std::vector<QueryRequest> requests;
   for (size_t d = 0; d < docs.size(); ++d) {
     for (size_t p = 0; p < plans.size(); ++p) {
-      requests.push_back(Request{plans[p], docs[d]});
+      requests.push_back(QueryRequest{plans[p], docs[d], {}});
     }
   }
 
@@ -328,7 +328,7 @@ TEST(ExecutorTest, StatsMergedWhenFuturesReady) {
   constexpr int kRequests = 50;
   {
     Executor exec(Executor::Options{.num_workers = 4, .queue_capacity = 16});
-    std::vector<Request> requests(kRequests, Request{plan, doc});
+    std::vector<QueryRequest> requests(kRequests, QueryRequest{plan, doc, {}});
     auto results = exec.RunBatch(std::move(requests));
     ASSERT_EQ(results.size(), static_cast<size_t>(kRequests));
     // All futures ready => every worker's shadow deltas are merged.
@@ -828,7 +828,7 @@ TEST(ExecutorTest, QueueWaitAndExecuteHistogramsRecorded) {
   constexpr int kRequests = 10;
   {
     Executor exec(Executor::Options{.num_workers = 2, .queue_capacity = 8});
-    std::vector<Request> requests(kRequests, Request{plan, doc});
+    std::vector<QueryRequest> requests(kRequests, QueryRequest{plan, doc, {}});
     for (auto& r : exec.RunBatch(std::move(requests))) ASSERT_TRUE(r.ok());
   }
   auto histograms = reg.HistogramValues();
